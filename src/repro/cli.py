@@ -265,8 +265,6 @@ def _config_from(
         overrides["check_coalesce_window"] = args.check_coalesce_window * NS
     if getattr(args, "kernel", None) is not None:
         overrides["sim_kernel"] = args.kernel
-    if getattr(args, "sim_fast_path", None) is not None:
-        overrides["fast_path"] = args.sim_fast_path
     if getattr(args, "telemetry_window", None) is not None:
         from .sim import NS
 
@@ -322,19 +320,6 @@ def _add_machine_args(p: argparse.ArgumentParser) -> None:
         help="windowed telemetry sampling period in ns (0/omitted = off); "
         "observe-only — the sampled schedule is cycle-identical to an "
         "unsampled run",
-    )
-    fp = p.add_mutually_exclusive_group()
-    fp.add_argument(
-        "--sim-fast-path", dest="sim_fast_path", action="store_true",
-        default=None,
-        help="host-side same-cycle fast path: inline zero-latency "
-        "wake-ups + callback-form hot blocks (default; results are "
-        "cycle-identical either way)",
-    )
-    fp.add_argument(
-        "--no-sim-fast-path", dest="sim_fast_path", action="store_false",
-        help="disable the host-side fast path (generator blocks, every "
-        "wake-up through the ready ring) — debugging/benchmark baseline",
     )
 
 
@@ -467,8 +452,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "profile", False) or hotspots_n:
         prof = result.stats["sim"]
         print(
-            f"kernel profile [{prof['kernel']}"
-            f"{', fast path' if prof.get('fast_path') else ''}]: "
+            f"kernel profile [{prof['kernel']}]: "
             f"{prof['wall_seconds']:.3f}s wall, "
             f"{prof['events_processed']:,} events "
             f"({prof['events_per_sec']:,}/s), "

@@ -249,17 +249,6 @@ class SystemConfig:
     #: modelled results.
     sim_kernel: str = "wheel"
 
-    #: Same-cycle fast-path execution (host-side, default on): zero-latency
-    #: wake-ups (a ``put`` meeting a waiting getter, a set signal, a free
-    #: resource unit) run inline from the wheel kernel's ready ring instead
-    #: of paying a schedule/drain round trip, and the hottest hardware
-    #: blocks (Task Controller loops, *Send TDs*) are built as
-    #: allocation-free callback state machines instead of generator
-    #: coroutines.  Cycle-identical to ``fast_path=False`` and to the heap
-    #: kernel (differential-tested): like ``sim_kernel``, the knob only
-    #: trades wall-clock speed, never modelled results.
-    fast_path: bool = True
-
     # ---- telemetry ----------------------------------------------------------------
     #: Telemetry sampling window in picoseconds; 0 (default) disables the
     #: windowed :class:`~repro.analysis.telemetry.TelemetrySampler` and
@@ -411,6 +400,14 @@ class SystemConfig:
         if self.telemetry_window < 0:
             raise ValueError(
                 f"telemetry_window must be >= 0, got {self.telemetry_window}"
+            )
+        if 0 < self.telemetry_window < self.nexus_cycle:
+            # At 1 ps the sampler takes one sample per picosecond of
+            # makespan and runs out of memory; one Nexus cycle is the
+            # finest step any Maestro block takes.
+            raise ValueError(
+                f"telemetry_window must be 0 (off) or at least one Nexus "
+                f"cycle ({self.nexus_cycle} ps), got {self.telemetry_window}"
             )
         if self.sim_kernel not in ("heap", "wheel"):
             raise ValueError(

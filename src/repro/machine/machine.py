@@ -51,7 +51,7 @@ class NexusMachine:
         rules make the default machine deadlock-free).
         """
         cfg = self.config
-        sim = Simulator(kernel=cfg.sim_kernel, fast_path=cfg.fast_path)
+        sim = Simulator(kernel=cfg.sim_kernel)
         fabric = Fabric(sim, cfg, trace)
         scoreboard = Scoreboard(len(trace))
 
@@ -207,7 +207,6 @@ class NexusMachine:
             # bench.
             "sim": {
                 "kernel": sim.kernel,
-                "fast_path": sim.fast_path,
                 "wall_seconds": round(wall_seconds, 6),
                 "events_processed": sim.events_processed,
                 "events_per_sec": (
@@ -302,7 +301,6 @@ class NexusMachine:
                 "check_coalesce_limit": cfg.check_coalesce_limit,
                 "check_coalesce_window": cfg.check_coalesce_window,
                 "sim_kernel": cfg.sim_kernel,
-                "fast_path": cfg.fast_path,
             },
         )
 

@@ -8,8 +8,8 @@ Public API::
 See :mod:`repro.sim.core` for the execution model.
 """
 
-from .core import (CallbackBlock, HeapSimulator, Process, Simulator, Timeout,
-                   Waitable, WheelSimulator)
+from .core import (HeapSimulator, Process, Simulator, Timeout, Waitable,
+                   WheelSimulator)
 from .channels import Fifo
 from .errors import DeadlockError, ProcessError, SimError
 from .stats import BusyTracker, LatencyBreakdown, LevelStat, OccupancyStat, Sampler
@@ -21,7 +21,6 @@ __all__ = [
     "HeapSimulator",
     "WheelSimulator",
     "Process",
-    "CallbackBlock",
     "Timeout",
     "Waitable",
     "Fifo",

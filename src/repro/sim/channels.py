@@ -192,15 +192,15 @@ class Fifo:
 
     def _arm_put(self, sim: Simulator, proc: Process, item: Any) -> None:
         if self._getters:
-            # Hand the item straight to the first waiting consumer; the
-            # paired dispatch wakes getter-then-producer this cycle.
+            # Hand the item straight to the first waiting consumer.
             getter = self._getters.popleft()
-            sim._dispatch2(getter._resume_cb, item, proc._resume_cb, None)
+            sim._schedule(sim.now, getter._resume_cb, item)
+            sim._schedule(sim.now, proc._resume_cb, None)
             return
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
             self._note()
-            sim._dispatch(proc._resume_cb, None)
+            sim._schedule(sim.now, proc._resume_cb, None)
             return
         self._putters.append((proc, item))
 
@@ -209,21 +209,19 @@ class Fifo:
             item = self._items.popleft()
             if self._putters:
                 # A blocked producer can now complete; its item takes the
-                # freed slot, preserving FIFO order.  Putter wakes before
-                # the consumer, as the two schedules always did.
+                # freed slot, preserving FIFO order.
                 putter, pending = self._putters.popleft()
                 self._items.append(pending)
-                self._note()
-                sim._dispatch2(putter._resume_cb, None, proc._resume_cb, item)
-                return
+                sim._schedule(sim.now, putter._resume_cb, None)
             self._note()
-            sim._dispatch(proc._resume_cb, item)
+            sim._schedule(sim.now, proc._resume_cb, item)
             return
         if self._putters:
             # Empty FIFO but a blocked producer exists (capacity reached by
             # racing getters at the same timestamp): take its item directly.
             putter, pending = self._putters.popleft()
-            sim._dispatch2(putter._resume_cb, None, proc._resume_cb, pending)
+            sim._schedule(sim.now, putter._resume_cb, None)
+            sim._schedule(sim.now, proc._resume_cb, pending)
             return
         self._getters.append(proc)
 

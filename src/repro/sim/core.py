@@ -27,15 +27,9 @@ Design notes
     overflow heap and are transferred into buckets window by window as
     time advances.
 
-* Immediate completions (e.g. a ``put`` into a non-full FIFO) complete at
-  the *current* time.  By default (``fast_path=True``, wheel kernel) the
-  kernel may run such a completion **inline** — the same-cycle fast path —
-  but only when the ready ring is fully drained, i.e. when the woken event
-  would have been the very next one to fire anyway, so the observable
-  ``(time, scheduling order)`` sequence is exactly the scheduled one.  A
-  reentrancy depth guard falls back to the ring, bounding recursion; with
-  ``fast_path=False`` (or on the heap kernel) every completion is scheduled,
-  mirroring SystemC's evaluate/update phases.
+* Immediate completions (e.g. a ``put`` into a non-full FIFO) are scheduled
+  at the *current* time rather than executed re-entrantly; this mirrors
+  SystemC's evaluate/update phases and avoids unbounded recursion.
 * The hot loop is allocation-light on purpose: resume callbacks are cached
   bound methods, ``Simulator.timeout`` interns one :class:`Timeout` per
   distinct delay, ``call_at`` is closure-free, the ready ring stores flat
@@ -52,7 +46,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from .errors import DeadlockError, ProcessError
 
 __all__ = ["Simulator", "HeapSimulator", "WheelSimulator", "Process",
-           "CallbackBlock", "Waitable", "Timeout"]
+           "Waitable", "Timeout"]
 
 #: Type of the generator body driving a :class:`Process`.
 ProcessBody = Generator["Waitable", Any, Any]
@@ -60,17 +54,6 @@ ProcessBody = Generator["Waitable", Any, Any]
 #: Interned :class:`Timeout` cache bound per simulator; stop growing it
 #: past this many distinct delays (pathological workloads only).
 _TIMEOUT_CACHE_LIMIT = 4096
-
-#: Fast-path reentrancy bound: an inline wake-up chain deeper than this
-#: falls back to the ready ring.  Each inline hop keeps its caller's frame
-#: alive, and measured on CPython a long recursive chain costs more than
-#: the flat ring drain it replaces — a depth of 1 captures the
-#: latency-of-the-common-case hand-off (producer wakes consumer, consumer
-#: runs now) without growing pathological stacks; paired A/B runs of the
-#: full machine measured depth 1 faster than both depth 4 and depth 64.
-#: The cap is a pure wall-clock knob: the fallback reproduces the
-#: scheduled order exactly, so no cap value can change the event schedule.
-_MAX_INLINE_DEPTH = 1
 
 
 def _invoke0(callback: Callable[[], None]) -> None:
@@ -116,10 +99,7 @@ class Timeout(Waitable):
         return f"timeout({self.delay}ps)"
 
     def _arm(self, sim: "Simulator", proc: "Process") -> None:
-        if self.delay:
-            sim._schedule(sim.now + self.delay, proc._resume_cb, None)
-        else:
-            sim._dispatch(proc._resume_cb, None)
+        sim._schedule(sim.now + self.delay, proc._resume_cb, None)
 
 
 class Process(Waitable):
@@ -172,11 +152,7 @@ class Process(Waitable):
         self._waiting_on = target
         if type(target) is Timeout:
             sim = self.sim
-            delay = target.delay
-            if delay:
-                sim._schedule(sim.now + delay, self._resume_cb, None)
-            else:
-                sim._dispatch(self._resume_cb, None)
+            sim._schedule(sim.now + target.delay, self._resume_cb, None)
         elif isinstance(target, Waitable):
             target._arm(self.sim, self)
         else:
@@ -244,115 +220,11 @@ class Process(Waitable):
         if self.alive:
             self._joiners.append(proc)
         else:
-            sim._dispatch(proc._resume_cb, self.result)
+            sim._schedule(sim.now, proc._resume_cb, self.result)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "done"
         return f"<Process {self.name} {state}>"
-
-
-class CallbackBlock:
-    """Allocation-free callback state machine behind the process API.
-
-    The fast-path alternative to a generator :class:`Process` for the hot
-    hardware blocks: states are plain bound methods, each one handed to the
-    kernel as the resume callback for the *next* wake-up, so stepping the
-    block costs one method call — no ``generator.send`` frame, no waitable
-    dispatch in :meth:`Process._resume`.
-
-    A block registers exactly like a process (live count plus deadlock
-    registry) and speaks the same waitable duck type (``name`` / ``alive``
-    / ``_resume_cb`` / ``_waiting_on``), so every channel and sync
-    primitive wakes it unchanged.  Rules for state methods:
-
-    * a state waits by calling ``self._wait(waitable, next_state)`` **in
-      tail position** — with the fast path on, the wake-up may run inline
-      from inside ``_wait``, so code after it would execute out of order;
-    * the entry state is scheduled as a zero-delay event from
-      ``__init__``, matching the start-up cycle of a generator process;
-    * the machine's blocks are endless loops (the machine stops them by
-      draining events) and there is no join half — a block is not a
-      :class:`Waitable`; a finite block ends by calling :meth:`_exit`.
-    """
-
-    __slots__ = ("sim", "name", "alive", "result", "_resume_cb",
-                 "_waiting_on")
-
-    def __init__(self, sim: "Simulator", name: str,
-                 entry: Callable[[Any], None]):
-        self.sim = sim
-        self.name = name
-        self.alive = True
-        self.result: Any = None
-        self._waiting_on: Optional[Waitable] = None
-        self._resume_cb = entry
-        sim._live_processes += 1
-        sim._blocked_registry.append(self)
-        sim._schedule(sim.now, entry, None)
-
-    def _wait(self, waitable: Waitable, state: Callable[[Any], None]) -> None:
-        """Park until ``waitable`` completes, then resume in ``state``.
-
-        Must be the caller's final action (see the class docstring).
-        """
-        self._resume_cb = state
-        self._waiting_on = waitable
-        waitable._arm(self.sim, self)
-
-    # -- fused channel operations ----------------------------------------------
-    #
-    # The generic ``_wait(fifo.put(x), state)`` spends three calls building
-    # and dispatching a waitable that the channel immediately unwraps.
-    # These helpers jump straight to the channel's arm hook (the waitable
-    # layer exists for generator processes, which have nowhere else to
-    # carry the continuation).  Same tail-position rule as ``_wait``.
-
-    def _get(self, fifo, state: Callable[[Any], None]) -> None:
-        """Park on ``fifo.get()``; ``state`` receives the item."""
-        self._resume_cb = state
-        self._waiting_on = fifo._get
-        fifo._arm_get(self.sim, self)
-
-    def _put(self, fifo, item: Any, state: Callable[[Any], None]) -> None:
-        """Park on ``fifo.put(item)``; ``state`` receives ``None``."""
-        self._resume_cb = state
-        self._waiting_on = fifo._put
-        fifo._arm_put(self.sim, self, item)
-
-    def _acquire(self, resource, state: Callable[[Any], None]) -> None:
-        """Park on ``resource.acquire()``; ``state`` receives ``None``."""
-        self._resume_cb = state
-        self._waiting_on = resource._acquire
-        resource._acquire._arm(self.sim, self)
-
-    def _sleep(self, delay: int, state: Callable[[Any], None]) -> None:
-        """Resume in ``state`` after ``delay`` picoseconds.
-
-        A sleeping block holds a pending event, so it can never appear in
-        a deadlock report — no waitable bookkeeping is needed at all; the
-        continuation rides directly on the scheduled event.
-        """
-        sim = self.sim
-        if delay:
-            sim._schedule(sim.now + delay, state, None)
-        else:
-            sim._dispatch(state, None)
-
-    def _exit(self, result: Any = None) -> None:
-        """Terminate the block — the mirror of a generator's ``return``.
-
-        The machine's blocks are endless loops and never call this; finite
-        callback drivers (benchmarks, tests) use it to balance the live
-        count the way a finishing generator process does.
-        """
-        self.alive = False
-        self.result = result
-        self._waiting_on = None
-        self.sim._live_processes -= 1
-        self.sim._forget(self)
-
-    def __repr__(self) -> str:
-        return f"<CallbackBlock {self.name}>"
 
 
 class Simulator:
@@ -386,13 +258,12 @@ class Simulator:
         "_timeouts",
         "events_processed",
         "peak_pending",
-        "fast_path",
     )
 
     #: Scheduler name, overridden per concrete kernel.
     kernel = "wheel"
 
-    def __new__(cls, kernel: str = "wheel", fast_path: bool = True) -> "Simulator":
+    def __new__(cls, kernel: str = "wheel") -> "Simulator":
         if cls is Simulator:
             if kernel == "wheel":
                 cls = WheelSimulator
@@ -404,13 +275,9 @@ class Simulator:
                 )
         return object.__new__(cls)
 
-    def __init__(self, kernel: str = "wheel", fast_path: bool = True) -> None:
+    def __init__(self, kernel: str = "wheel") -> None:
         #: Current simulation time in picoseconds.
         self.now: int = 0
-        #: Same-cycle inline dispatch enabled (wheel kernel only; the heap
-        #: kernel ignores the flag and always schedules).  Host-side knob:
-        #: never changes the ``(time, scheduling order)`` event sequence.
-        self.fast_path: bool = fast_path
         self._seq: int = 0
         self._live_processes: int = 0
         # Registry of live processes, for deadlock reports.  Dead processes
@@ -428,35 +295,6 @@ class Simulator:
 
     def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
         raise NotImplementedError  # pragma: no cover
-
-    def _dispatch(self, callback: Callable[[Any], None], value: Any) -> None:
-        """Complete a wake-up at the current timestamp.
-
-        Semantically identical to ``_schedule(self.now, ...)``; a kernel
-        with a fast path may instead run the callback inline when doing so
-        provably preserves the ``(time, scheduling order)`` sequence.
-        Callers must be in *tail position* within the current event — the
-        dispatch must be the last thing the event does.
-        """
-        self._schedule(self.now, callback, value)
-
-    def _dispatch2(
-        self,
-        callback1: Callable[[Any], None],
-        value1: Any,
-        callback2: Callable[[Any], None],
-        value2: Any,
-    ) -> None:
-        """Complete a paired wake-up (two events, in order) at time now.
-
-        The pair form exists for rendezvous hand-offs (FIFO put meeting a
-        waiting getter, and the converse) where *both* sides resume this
-        cycle and their relative order is part of the contract.  Same
-        tail-position requirement as :meth:`_dispatch`.
-        """
-        now = self.now
-        self._schedule(now, callback1, value1)
-        self._schedule(now, callback2, value2)
 
     def timeout(self, delay: int) -> Timeout:
         """Waitable that completes ``delay`` picoseconds from now.
@@ -539,8 +377,8 @@ class HeapSimulator(Simulator):
 
     kernel = "heap"
 
-    def __init__(self, kernel: str = "heap", fast_path: bool = True) -> None:
-        super().__init__(kernel, fast_path)
+    def __init__(self, kernel: str = "heap") -> None:
+        super().__init__(kernel)
         self._heap: list[tuple[int, int, Callable[..., None], Any]] = []
 
     def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
@@ -607,7 +445,7 @@ class WheelSimulator(Simulator):
     """
 
     __slots__ = ("_ready", "_buckets", "_times", "_overflow", "_horizon",
-                 "_pending", "_ready_pos", "_inline_depth")
+                 "_pending")
 
     kernel = "wheel"
 
@@ -617,20 +455,14 @@ class WheelSimulator(Simulator):
     #: ever touch the overflow heap.
     WHEEL_SPAN = 1 << 18
 
-    def __init__(self, kernel: str = "wheel", fast_path: bool = True) -> None:
-        super().__init__(kernel, fast_path)
+    def __init__(self, kernel: str = "wheel") -> None:
+        super().__init__(kernel)
         self._ready: list[Any] = []
         self._buckets: dict[int, list[Any]] = {}
         self._times: list[int] = []
         self._overflow: list[tuple[int, int, Callable[..., None], Any]] = []
         self._horizon: int = self.WHEEL_SPAN
         self._pending: int = 0
-        #: Drain cursor into ``_ready`` while the run loop is firing it.
-        #: ``_ready_pos == len(_ready)`` means the ring is fully drained —
-        #: the currently-firing event is the last one at this timestamp —
-        #: which is the fast path's inline-eligibility test.
-        self._ready_pos: int = 0
-        self._inline_depth: int = 0
 
     def _schedule(self, when: int, callback: Callable[[Any], None], value: Any) -> None:
         if when <= self.now:
@@ -651,60 +483,6 @@ class WheelSimulator(Simulator):
             self._seq += 1
             heapq.heappush(self._overflow, (when, self._seq, callback, value))
         pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def _dispatch(self, callback: Callable[[Any], None], value: Any) -> None:
-        # Inline only when the woken event would be the very next to fire:
-        # the ring is fully drained, so no queued same-timestamp event can
-        # be overtaken.  The depth guard bounds recursion; the fallback
-        # append reproduces the scheduled order exactly.
-        ready = self._ready
-        if (self.fast_path and self._ready_pos == len(ready)
-                and self._inline_depth < _MAX_INLINE_DEPTH):
-            # No try/finally: if the callback lets an exception escape, the
-            # run is over and a stale depth counter merely disables further
-            # inlining — the ring fallback is always correct.
-            self._inline_depth += 1
-            self.events_processed += 1
-            callback(value)
-            self._inline_depth -= 1
-            return
-        ready.append(callback)
-        ready.append(value)
-        pending = self._pending = self._pending + 1
-        if pending > self.peak_pending:
-            self.peak_pending = pending
-
-    def _dispatch2(
-        self,
-        callback1: Callable[[Any], None],
-        value1: Any,
-        callback2: Callable[[Any], None],
-        value2: Any,
-    ) -> None:
-        ready = self._ready
-        if (self.fast_path and self._ready_pos == len(ready)
-                and self._inline_depth < _MAX_INLINE_DEPTH):
-            # The second event joins the ring *before* the first runs
-            # inline: any same-cycle dispatch the first one makes sees a
-            # non-drained ring and appends behind it — exactly the order
-            # two _schedule calls would have produced.
-            ready.append(callback2)
-            ready.append(value2)
-            pending = self._pending = self._pending + 1
-            if pending > self.peak_pending:
-                self.peak_pending = pending
-            self._inline_depth += 1
-            self.events_processed += 1
-            callback1(value1)
-            self._inline_depth -= 1
-            return
-        ready.append(callback1)
-        ready.append(value1)
-        ready.append(callback2)
-        ready.append(value2)
-        pending = self._pending = self._pending + 2
         if pending > self.peak_pending:
             self.peak_pending = pending
 
@@ -735,17 +513,12 @@ class WheelSimulator(Simulator):
                             callback = ready[i]
                             value = ready[i + 1]
                             i += 2
-                            # Publish the drain cursor so _dispatch can
-                            # tell "nothing is queued behind the event
-                            # now firing" — the inline-eligibility test.
-                            self._ready_pos = i
                             callback(value)
                     finally:
                         n = i >> 1
                         del ready[:i]
                         self._pending -= n
                         fired += n
-                        self._ready_pos = 0
                 # Advance time: bucket times always precede the overflow
                 # horizon, so the next timestamp is the bucket-heap head,
                 # or the overflow head once the calendar is empty.

@@ -30,7 +30,7 @@ class _SignalWait(Waitable):
 
     def _arm(self, sim: Simulator, proc: Process) -> None:
         if self.signal._level:
-            sim._dispatch(proc._resume_cb, None)
+            sim._schedule(sim.now, proc._resume_cb, None)
         else:
             self.signal._waiters.append(proc)
 
@@ -86,7 +86,7 @@ class _GateWait(Waitable):
 
     def _arm(self, sim: Simulator, proc: Process) -> None:
         if self.gate._count > 0:
-            sim._dispatch(proc._resume_cb, None)
+            sim._schedule(sim.now, proc._resume_cb, None)
         else:
             self.gate._waiters.append(proc)
 
@@ -150,7 +150,7 @@ class Acquire(Waitable):
         if res._in_use < res.capacity:
             res._in_use += 1
             res._note()
-            sim._dispatch(proc._resume_cb, None)
+            sim._schedule(sim.now, proc._resume_cb, None)
         else:
             res._waiters.append(proc)
 

@@ -67,6 +67,27 @@ class TestSampling:
         assert result.telemetry is None
         assert "telemetry" not in result.stats
 
+    def test_sub_cycle_window_is_rejected(self):
+        # A 1 ps window would take one sample per picosecond of makespan
+        # and exhaust memory mid-run, so the config refuses it up front.
+        cycle = SystemConfig().nexus_cycle
+        assert cycle == 2_000
+        for window in (1, cycle - 1):
+            with pytest.raises(ValueError, match="at least one Nexus cycle "
+                               r"\(2000 ps\)"):
+                _mini_config(telemetry_window=window)
+        assert _mini_config(telemetry_window=cycle).telemetry_window == cycle
+        assert _mini_config(telemetry_window=0).telemetry_window == 0
+
+    def test_window_minimum_follows_the_nexus_clock(self):
+        # At a 250 MHz Nexus clock one cycle is 4 ns, so a 2 ns window that
+        # the Table IV clock accepts is now below the minimum.
+        slow = dict(nexus_clock_hz=250_000_000)
+        assert _mini_config(telemetry_window=0, **slow).nexus_cycle == 4_000
+        with pytest.raises(ValueError, match=r"\(4000 ps\), got 2000"):
+            _mini_config(telemetry_window=2_000, **slow)
+        assert _mini_config(telemetry_window=4_000, **slow).telemetry_window == 4_000
+
     def test_series_shape(self, run, telemetry):
         assert telemetry["window_ps"] == WINDOW_PS
         times = telemetry["times_ps"]

@@ -40,7 +40,6 @@ SCALING_KNOBS = [
     "check_coalesce_window",
     "sim_kernel",
     "telemetry_window",
-    "fast_path",
 ]
 
 

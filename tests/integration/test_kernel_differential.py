@@ -10,9 +10,10 @@ sharded at 1 shard, 2 and 4 shards), with the complete knob pile on
 staged resolve with coalescing + speculative kick-off, decentralized
 check scatter with check coalescing).
 
-Unlike the PR 1-6 differentials there are no pinned golden constants
+Unlike the PR 1-6 differentials there are no pinned schedule goldens
 here: both kernels are live in-tree, so each case runs the same machine
-twice and compares complete schedules directly.  (The pinned goldens in
+twice and compares complete schedules directly.  The only constants are
+the per-case event counts in :data:`EVENTS_PROCESSED`.  (The pinned goldens in
 the sibling differential tests all run on the default wheel kernel, so
 the heap-era constants recorded before this PR independently pin the
 wheel kernel's absolute schedules.)
@@ -24,6 +25,7 @@ import pytest
 
 from repro.config import BUS_MODEL_FITTED, SystemConfig
 from repro.machine import run_trace
+from repro.sim import NS
 from repro.traces import gaussian_trace, random_trace
 
 
@@ -45,6 +47,21 @@ def _gaussian():
 
 TRACES = {"random": _random, "gaussian": _gaussian}
 
+#: Golden ``stats["sim"]["events_processed"]`` per ``(trace, engine)``,
+#: identical on both kernels.  A deterministic host-cost gate: a change
+#: that makes the simulator fire more (or fewer) events moves these even
+#: when the modelled schedule stays put.
+EVENTS_PROCESSED = {
+    ("gaussian", "forced1"): 47531,
+    ("gaussian", "shards2"): 49170,
+    ("gaussian", "shards4"): 51032,
+    ("gaussian", "single"): 28062,
+    ("random", "forced1"): 46019,
+    ("random", "shards2"): 50753,
+    ("random", "shards4"): 51202,
+    ("random", "single"): 27876,
+}
+
 ENGINES = {
     "single": dict(),
     "forced1": dict(maestro_shards=1, force_sharded_maestro=True),
@@ -53,7 +70,7 @@ ENGINES = {
 }
 
 
-def _config(engine: str, kernel: str) -> SystemConfig:
+def _config(engine: str, kernel: str, telemetry_window: int = 0) -> SystemConfig:
     base = dict(
         workers=8,
         master_cores=4,
@@ -61,6 +78,7 @@ def _config(engine: str, kernel: str) -> SystemConfig:
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
         sim_kernel=kernel,
+        telemetry_window=telemetry_window,
     )
     if engine != "single":
         # The full PR 6 stack: retire pipeline + fast dispatch + staged
@@ -101,9 +119,47 @@ def test_wheel_kernel_is_cycle_identical_to_heap(trace_name, engine):
     assert (
         wheel.stats["sim"]["events_processed"]
         == heap.stats["sim"]["events_processed"]
+        == EVENTS_PROCESSED[trace_name, engine]
     )
     assert wheel.stats["sim"]["kernel"] == "wheel"
     assert heap.stats["sim"]["kernel"] == "heap"
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_kernels_agree_under_windowed_telemetry(engine):
+    """With the sampler on, the machine runs as a host loop of
+    ``sim.run(until=window boundary)`` steps; both kernels must still replay
+    the same schedule, and sampling must fire no events of its own."""
+    trace = _random()
+    heap = run_trace(trace, _config(engine, "heap", 100 * NS))
+    wheel = run_trace(trace, _config(engine, "wheel", 100 * NS))
+    assert wheel.makespan == heap.makespan
+    assert _schedule_digest(wheel) == _schedule_digest(heap)
+    assert (
+        wheel.stats["sim"]["events_processed"]
+        == heap.stats["sim"]["events_processed"]
+        == EVENTS_PROCESSED["random", engine]
+    )
+    assert len(wheel.telemetry["times_ps"]) > 1
+
+
+def test_kernel_knob_leaves_telemetry_series_unchanged():
+    """Every sampled series except the host-derived wall-clock rates is
+    identical across kernels."""
+    trace = _random()
+    heap = run_trace(trace, _config("shards4", "heap", 100 * NS))
+    wheel = run_trace(trace, _config("shards4", "wheel", 100 * NS))
+
+    def modelled(result):
+        telemetry = dict(result.stats["telemetry"])
+        host = set(telemetry["host_signals"])
+        assert host
+        telemetry["signals"] = {
+            k: v for k, v in telemetry["signals"].items() if k not in host
+        }
+        return repr(telemetry)
+
+    assert modelled(heap) == modelled(wheel)
 
 
 def test_kernel_knob_is_host_side_only():

@@ -2,10 +2,10 @@
 
 The timing-wheel kernel and the streaming trace generator together put
 100k+-task traces in reach; this file pins two waypoints — a CI-sized
-50k-task trace and the million-task run the fast-path layer (PR 10)
-targets — each simulated end-to-end on the full sharded machine inside
-a wall-clock budget.  Marked ``slow``: deselect with ``-m 'not slow'``
-for a quick iteration loop (the tier-1 CI run keeps them).
+50k-task trace and a million-task run — each simulated end-to-end on the
+full sharded machine inside a wall-clock budget.  Marked ``slow``:
+deselect with ``-m 'not slow'`` for a quick iteration loop (the tier-1 CI
+run keeps them).
 """
 
 import time
@@ -58,20 +58,20 @@ def test_50k_task_trace_completes_within_budget():
 
 
 #: Budget for the million-task waypoint.  The dev machine does the whole
-#: thing (chunked trace generation + ~68M-event simulation with the
-#: fast path on) in ~160s; 600s absorbs a slow CI runner with margin,
-#: so tripping it means a real scaling regression, not noise.
+#: thing (chunked trace generation + ~68M-event simulation) in ~160s;
+#: 600s absorbs a slow CI runner with margin, so tripping it means a real
+#: scaling regression, not noise.
 MILLION_WALL_BUDGET = 600.0
 
 
 @pytest.mark.slow
 def test_million_task_trace_completes_within_budget():
-    """The PR 10 scale waypoint: one million tasks end-to-end.
+    """The scale waypoint: one million tasks end-to-end.
 
     A narrow address pool keeps the chunked generator's key matrix (and
     so generation time) small; one parameter per task keeps the run
     dependence-light — this waypoint is about the host kernel and the
-    fast-path layer sustaining ~0.5M events/sec over a 10ms modelled
+    generator blocks sustaining ~0.5M events/sec over a 10ms modelled
     second, not about hazard pressure (the 50k waypoint above and the
     hazard-dense differential suites cover that).
     """
@@ -110,11 +110,10 @@ def test_million_task_trace_completes_within_budget():
     )
     sim = result.stats["sim"]
     assert sim["kernel"] == "wheel"
-    assert sim["fast_path"] is True
     # ~68M events for this trace; a wildly different count means the
     # machine (not the kernel) changed.
     assert sim["events_processed"] > 50_000_000
     assert wall < MILLION_WALL_BUDGET, (
         f"1M-task run took {wall:.1f}s (budget {MILLION_WALL_BUDGET:.0f}s) "
-        "— kernel, fast-path, or generator performance regression"
+        "— kernel or generator performance regression"
     )

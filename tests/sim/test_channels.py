@@ -388,103 +388,3 @@ def test_occupancy_accounting_through_producer_promotion():
     # Full for the whole [0, 100) span: the swap at t=50 never emptied it.
     assert fifo.stat.mean(until=100) == pytest.approx(1.0)
     assert fifo.stat.histogram(until=100) == {1: pytest.approx(1.0)}
-
-
-def _stat_driven_run(fast_path: bool):
-    """One producer/consumer round trip on a tracked FIFO, with the
-    occupancy readers sampled at fixed modelled times — the exact shape
-    of the telemetry sampler's window-delta reads."""
-    from repro.sim import CallbackBlock
-
-    sim = Simulator(fast_path=fast_path)
-    fifo = Fifo(sim, capacity=4, track_occupancy=True)
-    samples = []
-
-    class Producer(CallbackBlock):
-        __slots__ = ("i", "_s_sent", "_s_burst_done")
-
-        def __init__(self):
-            self.i = 0
-            self._s_sent = self._sent
-            self._s_burst_done = self._burst_done
-            super().__init__(sim, "prod", self._sent)
-
-        def _sent(self, _):
-            i = self.i
-            if i >= 24:
-                self._exit()
-                return
-            self.i = i + 1
-            if i % 6 == 5:
-                # A gap lets the consumer drain the burst to empty.
-                self._sleep(7, self._s_burst_done)
-            else:
-                self._put(fifo, i, self._s_sent)
-
-        def _burst_done(self, _):
-            self._put(fifo, self.i - 1, self._s_sent)
-
-    class Consumer(CallbackBlock):
-        __slots__ = ("n", "_s_got", "_s_woke")
-
-        def __init__(self):
-            self.n = 0
-            self._s_got = self._got
-            self._s_woke = self._woke
-            super().__init__(sim, "cons", self._woke)
-
-        def _woke(self, _):
-            if self.n >= 24:
-                self._exit()
-                return
-            self.n += 1
-            self._get(fifo, self._s_got)
-
-        def _got(self, _item):
-            # Zero-latency gets exercise the inline hand-off; the
-            # occasional 2 ps think time lets the producer run ahead.
-            self._sleep(0 if self.n % 3 else 2, self._s_woke)
-
-    Producer()
-    Consumer()
-
-    def sample():
-        stat = fifo.stat
-        samples.append(
-            (
-                sim.now,
-                stat.area(),
-                stat.time_at_or_above(1),
-                stat.time_at_or_above(3),
-                stat.max_level,
-                stat.level,
-            )
-        )
-
-    for t in (1, 3, 5, 9, 14, 20):
-        sim.call_at(t, sample)
-    sim.run()
-    final = (
-        fifo.stat.mean(),
-        fifo.stat.histogram(),
-        fifo.stat.max_level,
-        sim.events_processed,
-    )
-    return samples, final
-
-
-def test_occupancy_readers_identical_under_inline_fast_path():
-    """The fast path's inline same-cycle drains must be invisible to the
-    LevelStat/OccupancyStat window-delta readers: every transition an
-    inlined wake-up records happens at the same modelled instant, in the
-    same schedule order, as the ready-ring path — so the sampled area,
-    threshold-time and peak-level reads match exactly, not just
-    approximately."""
-    samples_on, final_on = _stat_driven_run(fast_path=True)
-    samples_off, final_off = _stat_driven_run(fast_path=False)
-    assert samples_on == samples_off
-    assert final_on == final_off
-    # The workload genuinely exercised the readers: occupancy moved, and
-    # at least one sample caught a non-empty queue mid-run.
-    assert final_on[2] >= 2
-    assert any(s[5] > 0 for s in samples_on)

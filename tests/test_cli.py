@@ -470,6 +470,34 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "+0.00%" in out
 
+    def test_report_reads_documents_with_legacy_sim_keys(self, capsys, tmp_path):
+        # Schema-1 documents written before the simulator lost its
+        # host-side twin blocks carry a "fast_path" flag in their
+        # aggregates["sim"] block; they must still render and diff
+        # against a current document.
+        import json
+
+        new = tmp_path / "new.json"
+        assert main(self.ARGS + ["--metrics-out", str(new)]) == 0
+        capsys.readouterr()
+        doc = json.loads(new.read_text())
+        assert "fast_path" not in doc["aggregates"]["sim"]
+        doc["aggregates"]["sim"]["fast_path"] = True
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+
+        assert main(["report", str(old)]) == 0
+        out = capsys.readouterr().out
+        assert "host: wheel kernel, " in out and "workers.busy" in out
+        assert main(["report", str(old), str(new)]) == 0
+        assert "+0.00%" in capsys.readouterr().out
+
+    def test_sub_cycle_window_is_a_usage_error(self):
+        # --telemetry-window is in ns; 1 ns is half a Nexus cycle.
+        args = self.ARGS[:-1] + ["1"]
+        with pytest.raises(SystemExit, match=r"at least one Nexus cycle \(2000 ps\)"):
+            main(args)
+
     def test_report_rejects_invalid_document(self, capsys, tmp_path):
         import json
 
