@@ -32,10 +32,16 @@ delivers >= 1.15x end-to-end.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --addresses 1024 --shards 4 \
-        --masters 8 --batch 8 --retire-depth 4 --td-cache 64 \
-        --prefetch-depth 2 --fast-path --coalesce 8 --spec-kickoff \
-        --check --no-contention --json BENCH_check_scaling.json
+    python -m repro sweep random --tasks 1200 --addresses 1024 \
+        --workers 16 --shards 4 --masters 8 --batch 8 --retire-depth 4 \
+        --td-cache 64 --prefetch-depth 2 --fast-path --coalesce 8 \
+        --spec-kickoff \
+        --grid check_coalesce_limit=1,8 decentralized_check_scatter=off,on \
+        --no-contention --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable grid lands in ``BENCH_check_scaling.json`` at the
 repository root.
@@ -46,9 +52,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, check_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep, preset_grid
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -94,7 +99,10 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return check_scaling_sweep(trace, cfg, coalesce=CHECK_COALESCE), cfg
+    return (
+        grid_sweep(trace, cfg, **preset_grid("check", check_coalesce=CHECK_COALESCE)),
+        cfg,
+    )
 
 
 def test_check_scaling(benchmark):
@@ -103,35 +111,10 @@ def test_check_scaling(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        [
-            "decentral",
-            "coalesce",
-            "makespan (us)",
-            "speedup",
-            "scatter busy",
-            "check busy",
-            "mean batch",
-            "merge rate",
-            "busiest block",
-        ],
-        [
-            [
-                "on" if r["decentralized"] else "off",
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                f"{r['scatter_busy']:.1%}",
-                f"{r['check_engine_busy']:.1%}",
-                round(r["mean_batch"], 2),
-                f"{r['coalesce_rate']:.1%}",
-                r["busiest_maestro_block"],
-            ]
-            for r in rows
-        ],
+    table = rep.render(
         f"Decentralized-check grid ({rep.trace_name}, {WORKERS} workers, "
         f"{SHARDS} shards, {MASTERS} masters x batch {BATCH}, retire depth "
-        f"{RETIRE_DEPTH}, fast dispatch + staged resolve on)",
+        f"{RETIRE_DEPTH}, fast dispatch + staged resolve on)"
     )
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("check_scaling", table)
@@ -146,7 +129,9 @@ def test_check_scaling(benchmark):
     # with send_tds at this saturation level), the saturation detail
     # names the check knobs as the lever.
     assert off["scatter_busy"] > 0.50, off
-    verdict = analyze_bottleneck(rep.at(False, 1), cfg)
+    verdict = analyze_bottleneck(
+        rep.at(decentralized_check_scatter=False, check_coalesce_limit=1), cfg
+    )
     assert verdict.occupancy.get("maestro.scatter", 0.0) >= 0.90, verdict.describe()
     name = verdict.verdict.removeprefix("maestro.")
     if name == "scatter" or name.endswith(".check"):

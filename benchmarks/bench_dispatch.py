@@ -26,9 +26,14 @@ clear the >= 1.25x bar with the TD-transfer component overlapped to
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 \
-        --batch 8 --retire-depth 4 --dispatch --prefetch-depth 2 \
-        --no-contention --json BENCH_dispatch_latency.json
+    python -m repro sweep random --tasks 1200 --workers 16 --shards 4 \
+        --masters 4 --batch 8 --retire-depth 4 --prefetch-depth 2 \
+        --grid kickoff_fast_path=off,on td_cache_entries=0,64 \
+        --no-contention --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable grid lands in ``BENCH_dispatch_latency.json`` at the
 repository root.
@@ -39,9 +44,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, dispatch_latency_sweep
+from repro.machine import analyze_bottleneck, grid_sweep, preset_grid
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -76,7 +80,7 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return dispatch_latency_sweep(trace, cfg, td_cache=TD_CACHE), cfg
+    return grid_sweep(trace, cfg, **preset_grid("dispatch", td_cache=TD_CACHE)), cfg
 
 
 def test_dispatch_latency(benchmark):
@@ -85,40 +89,10 @@ def test_dispatch_latency(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        [
-            "TD cache",
-            "fast path",
-            "makespan (us)",
-            "speedup",
-            "chain depth",
-            "ns/hop",
-            "resolve/fwd/TD/start",
-            "cache hits",
-        ],
-        [
-            [
-                r["td_cache"] or "off",
-                "on" if r["fast_path"] else "off",
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                r["chain_depth"],
-                round(r["chain_hop_ns"].get("total", 0.0), 1),
-                "/".join(
-                    f"{r['chain_hop_ns'].get(c, 0.0):.0f}"
-                    for c in ("resolve", "forward", "td_transfer", "start")
-                ),
-                (
-                    f"{r['td_cache_hit_rate']:.0%}"
-                    if r["td_cache_hit_rate"] is not None
-                    else "-"
-                ),
-            ]
-            for r in rows
-        ],
+    table = rep.render(
         f"Fast-dispatch latency grid ({rep.trace_name}, {WORKERS} workers, "
         f"{SHARDS} shards, {MASTERS} masters x batch {BATCH}, retire depth "
-        f"{RETIRE_DEPTH})",
+        f"{RETIRE_DEPTH})"
     )
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("dispatch_latency", table)
@@ -130,7 +104,9 @@ def test_dispatch_latency(benchmark):
     # The baseline must be what PR 3 left behind: a latency-bound machine
     # — nothing saturated, the critical chain's per-hop machinery latency
     # covering most of the run, with the TD transfer the dominant hop.
-    verdict = analyze_bottleneck(rep.at(0, False), cfg)
+    verdict = analyze_bottleneck(
+        rep.at(td_cache_entries=0, kickoff_fast_path=False), cfg
+    )
     assert verdict.verdict == "latency", verdict.describe()
     assert off["chain_fraction"] > 0.5
     assert off["chain_hop_ns"]["td_transfer"] > 25.0

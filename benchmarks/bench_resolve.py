@@ -28,10 +28,15 @@ chain and the end-to-end makespan >= 1.1x.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 8 \
-        --batch 8 --retire-depth 4 --td-cache 64 --prefetch-depth 2 \
-        --fast-path --resolve --no-contention \
-        --json BENCH_resolve_latency.json
+    python -m repro sweep random --tasks 1200 --workers 16 --shards 4 \
+        --masters 8 --batch 8 --retire-depth 4 --td-cache 64 \
+        --prefetch-depth 2 --fast-path \
+        --grid speculative_kickoff=off,on finish_coalesce_limit=1,8 \
+        --no-contention --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable grid lands in ``BENCH_resolve_latency.json`` at the
 repository root.
@@ -42,9 +47,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, resolve_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep, preset_grid
 from repro.traces import random_trace
 
 N_TASKS = 3000 if FULL else 1200
@@ -82,7 +86,7 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return resolve_scaling_sweep(trace, cfg, coalesce=COALESCE), cfg
+    return grid_sweep(trace, cfg, **preset_grid("resolve", coalesce=COALESCE)), cfg
 
 
 def test_resolve_latency(benchmark):
@@ -91,38 +95,10 @@ def test_resolve_latency(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        [
-            "coalesce",
-            "spec kick",
-            "makespan (us)",
-            "speedup",
-            "resolve ns",
-            "ns/hop",
-            "resolve/fwd/TD/start",
-            "mean batch",
-            "spec kicks",
-        ],
-        [
-            [
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                "on" if r["speculative"] else "off",
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                round(r["chain_hop_ns"].get("resolve", 0.0), 1),
-                round(r["chain_hop_ns"].get("total", 0.0), 1),
-                "/".join(
-                    f"{r['chain_hop_ns'].get(c, 0.0):.0f}"
-                    for c in ("resolve", "forward", "td_transfer", "start")
-                ),
-                round(r["mean_batch"], 2),
-                r["speculative_kicks"],
-            ]
-            for r in rows
-        ],
+    table = rep.render(
         f"Staged-resolve latency grid ({rep.trace_name}, {WORKERS} workers, "
         f"{SHARDS} shards, {MASTERS} masters x batch {BATCH}, retire depth "
-        f"{RETIRE_DEPTH}, fast dispatch on)",
+        f"{RETIRE_DEPTH}, fast dispatch on)"
     )
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("resolve_latency", table)
@@ -135,7 +111,9 @@ def test_resolve_latency(benchmark):
     # widened: a latency-bound machine whose dominant hop component is
     # the resolve path (~43 ns+, as the ROADMAP recorded), with the
     # verdict naming the resolve knobs as the lever.
-    verdict = analyze_bottleneck(rep.at(1, False), cfg)
+    verdict = analyze_bottleneck(
+        rep.at(finish_coalesce_limit=1, speculative_kickoff=False), cfg
+    )
     assert verdict.verdict == "latency", verdict.describe()
     assert "resolve" in (verdict.detail or "")
     assert off["dominant_chain_component"] == "resolve"

@@ -26,9 +26,13 @@ extra depth buys nothing (tickets idle).
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 \
-        --batch 8 --retire-depth 1,2,4,8 --no-contention \
-        --json BENCH_retire_scaling.json
+    python -m repro sweep random --tasks 1200 --workers 16 --shards 4 \
+        --masters 4 --batch 8 \
+        --grid retire_pipeline_depth=1,2,4,8 --no-contention --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable curve lands in ``BENCH_retire_scaling.json`` at the
 repository root.
@@ -39,9 +43,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import retire_scaling_sweep
+from repro.machine import grid_sweep, preset_grid
 from repro.traces import random_trace
 
 DEPTHS = [1, 2, 4, 8, 16] if FULL else [1, 2, 4, 8]
@@ -72,7 +75,7 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return retire_scaling_sweep(trace, DEPTHS, cfg)
+    return grid_sweep(trace, cfg, **preset_grid("retire", depths=DEPTHS))
 
 
 def test_retire_scaling(benchmark):
@@ -81,30 +84,9 @@ def test_retire_scaling(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        [
-            "depth",
-            "TP ports",
-            "makespan (us)",
-            "speedup",
-            "mean in-flight",
-            "pipe full",
-            "busiest block",
-        ],
-        [
-            [
-                r["depth"],
-                r["task_pool_ports"],
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                round(r["retire_inflight_mean"], 2),
-                f"{r['retire_full_fraction']:.0%}",
-                r["busiest_maestro_block"],
-            ]
-            for r in rows
-        ],
+    table = rep.render(
         f"Retire pipeline scaling ({rep.trace_name}, {WORKERS} workers, "
-        f"{SHARDS} shards, {MASTERS} masters x batch {BATCH})",
+        f"{SHARDS} shards, {MASTERS} masters x batch {BATCH})"
     )
     table += f"\nmachine-readable curve: {JSON_PATH.name}"
     report("retire_scaling", table)

@@ -14,8 +14,13 @@ prep, fitted bus model), so the curve isolates the Maestro itself.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1500 --shards 1,2,4 \
-        --no-contention --no-prep --json BENCH_shard_scaling.json
+    python -m repro sweep random --tasks 1200 --workers 16 \
+        --grid maestro_shards=1,2,4 --no-contention --no-prep \
+        --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable curve lands in ``BENCH_shard_scaling.json`` at the
 repository root.
@@ -26,9 +31,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import shard_scaling_sweep
+from repro.machine import grid_sweep, preset_grid
 from repro.traces import random_trace
 
 SHARDS = [1, 2, 4, 8] if FULL else [1, 2, 4]
@@ -54,7 +58,7 @@ def _experiment():
         task_prep_time=0,
         bus_model=BUS_MODEL_FITTED,
     )
-    return shard_scaling_sweep(trace, SHARDS, cfg)
+    return grid_sweep(trace, cfg, **preset_grid("shards", shards=SHARDS))
 
 
 def test_shard_scaling(benchmark):
@@ -63,21 +67,7 @@ def test_shard_scaling(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        ["shards", "makespan (us)", "speedup", "busiest block", "util", "steals"],
-        [
-            [
-                r["shards"],
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                r["busiest_maestro_block"],
-                f"{r['busiest_block_utilization']:.0%}",
-                r["steals"],
-            ]
-            for r in rows
-        ],
-        f"Maestro shard scaling ({rep.trace_name}, {WORKERS} workers)",
-    )
+    table = rep.render(f"Maestro shard scaling ({rep.trace_name}, {WORKERS} workers)")
     table += f"\nmachine-readable curve: {JSON_PATH.name}"
     report("shard_scaling", table)
 

@@ -17,8 +17,13 @@ floor — the per-shard retire front-end, the natural next scaling target.
 
 Reproduce from the CLI::
 
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 1,2,4 \
-        --batch 1,4,8 --no-contention --json BENCH_submission_scaling.json
+    python -m repro sweep random --tasks 1200 --workers 16 --shards 4 \
+        --grid master_cores=1,2,4 submission_batch=1,4,8 \
+        --no-contention --json report.json
+
+The CLI runs the same grid and columns on its own ``random`` workload
+(memory phases on, Table IV bus formula), so its numbers differ from
+the pinned file; this bench is the source of the pinned rows.
 
 The machine-readable grid lands in ``BENCH_submission_scaling.json`` at
 the repository root.
@@ -29,9 +34,8 @@ from pathlib import Path
 
 from conftest import FULL, report
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import master_scaling_sweep
+from repro.machine import grid_sweep, preset_grid
 from repro.traces import random_trace
 
 MASTERS = [1, 2, 4, 8] if FULL else [1, 2, 4]
@@ -59,7 +63,9 @@ def _experiment():
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    return master_scaling_sweep(trace, MASTERS, BATCHES, cfg)
+    return grid_sweep(
+        trace, cfg, **preset_grid("masters", masters=MASTERS, batch=BATCHES)
+    )
 
 
 def test_submission_scaling(benchmark):
@@ -68,21 +74,9 @@ def test_submission_scaling(benchmark):
 
     JSON_PATH.write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
 
-    table = render_table(
-        ["masters", "batch", "makespan (us)", "speedup", "master-bound", "busiest block"],
-        [
-            [
-                r["masters"],
-                r["batch"],
-                round(r["makespan_ps"] / 1e6, 2),
-                round(r["speedup_vs_baseline"], 2),
-                f"{r['master_bound_fraction']:.0%}",
-                r["busiest_maestro_block"],
-            ]
-            for r in rows
-        ],
+    table = rep.render(
         f"Submission front-end scaling ({rep.trace_name}, "
-        f"{WORKERS} workers, {SHARDS} shards)",
+        f"{WORKERS} workers, {SHARDS} shards)"
     )
     table += f"\nmachine-readable grid: {JSON_PATH.name}"
     report("submission_scaling", table)

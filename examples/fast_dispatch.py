@@ -16,9 +16,8 @@ Run with::
     PYTHONPATH=src python examples/fast_dispatch.py
 """
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, dispatch_latency_sweep
+from repro.machine import analyze_bottleneck, grid_sweep, preset_grid
 from repro.traces import random_trace
 
 
@@ -42,54 +41,22 @@ def main() -> None:
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    report = dispatch_latency_sweep(trace, cfg, td_cache=64)
-
-    rows = []
-    for row in report.rows():
-        hop = row["chain_hop_ns"]
-        rows.append(
-            [
-                row["td_cache"] or "off",
-                "on" if row["fast_path"] else "off",
-                round(row["makespan_ps"] / 1e6, 2),
-                round(row["speedup_vs_baseline"], 2),
-                f"{hop.get('total', 0.0):.0f}",
-                f"{hop.get('resolve', 0.0):.0f}",
-                f"{hop.get('forward', 0.0):.0f}",
-                f"{hop.get('td_transfer', 0.0):.0f}",
-                row["dominant_chain_component"],
-            ]
-        )
+    report = grid_sweep(trace, cfg, **preset_grid("dispatch", td_cache=64))
     print(
-        render_table(
-            [
-                "TD cache",
-                "fast path",
-                "makespan (us)",
-                "speedup",
-                "ns/hop",
-                "resolve",
-                "forward",
-                "TD",
-                "dominant",
-            ],
-            rows,
+        report.render(
             f"{trace.name}: fast-dispatch ablation "
             f"({cfg.workers} workers, {cfg.maestro_shards} shards, "
             f"{cfg.master_cores} masters, retire depth "
-            f"{cfg.retire_pipeline_depth})",
+            f"{cfg.retire_pipeline_depth})"
         )
     )
 
     # The full attribution for the two ends of the grid: the baseline is
     # latency-bound with the chain arithmetic in the verdict detail; the
     # full subsystem's chain is ~1.5x shorter per hop.
-    for td_cache, fast_path in ((0, False), (64, True)):
-        run = report.at(td_cache, fast_path)
-        rep = analyze_bottleneck(
-            run,
-            cfg.with_(td_cache_entries=td_cache, kickoff_fast_path=fast_path),
-        )
+    for i in (0, -1):
+        (td_cache, fast_path), run = report.points[i], report.runs[i]
+        rep = analyze_bottleneck(run, report.configs[i])
         label = f"cache={td_cache or 'off'}, fast path={'on' if fast_path else 'off'}"
         print(f"\n{label}: {rep.describe()}")
         sub = run.stats["dispatch"].get("fast_dispatch")

@@ -13,9 +13,8 @@ Run with::
     PYTHONPATH=src python examples/retire_pipelining.py
 """
 
-from repro.analysis import render_table
 from repro.config import BUS_MODEL_FITTED, SystemConfig
-from repro.machine import analyze_bottleneck, retire_scaling_sweep
+from repro.machine import analyze_bottleneck, grid_sweep, preset_grid
 from repro.traces import random_trace
 
 
@@ -37,39 +36,21 @@ def main() -> None:
         memory_contention=False,
         bus_model=BUS_MODEL_FITTED,
     )
-    depths = [1, 2, 4, 8]
-    report = retire_scaling_sweep(trace, depths, cfg)
-
-    rows = []
-    for row in report.rows():
-        run = report.at(row["depth"])
-        verdict = analyze_bottleneck(
-            run, cfg.with_(retire_pipeline_depth=row["depth"])
-        )
-        rows.append(
-            [
-                row["depth"],
-                row["task_pool_ports"],
-                round(row["makespan_ps"] / 1e6, 2),
-                round(row["speedup_vs_baseline"], 2),
-                f"{row['retire_full_fraction']:.0%}",
-                verdict.verdict,
-            ]
-        )
+    report = grid_sweep(trace, cfg, **preset_grid("retire", depths=[1, 2, 4, 8]))
     print(
-        render_table(
-            ["depth", "TP ports", "makespan (us)", "speedup", "pipe full", "bottleneck"],
-            rows,
+        report.render(
             f"{trace.name}: retire pipeline sweep "
             f"({cfg.workers} workers, {cfg.maestro_shards} shards, "
-            f"{cfg.master_cores} masters)",
+            f"{cfg.master_cores} masters)"
         )
     )
+    for (depth,), run, point_cfg in zip(report.points, report.runs, report.configs):
+        print(f"depth {depth}: {analyze_bottleneck(run, point_cfg).verdict}")
 
     # Show the full attribution for the two ends of the curve.
-    for depth in (depths[0], depths[-1]):
-        run = report.at(depth)
-        rep = analyze_bottleneck(run, cfg.with_(retire_pipeline_depth=depth))
+    for i in (0, -1):
+        depth, run = report.points[i][0], report.runs[i]
+        rep = analyze_bottleneck(run, report.configs[i])
         print(f"\ndepth {depth}: {rep.describe()}")
         retire = run.stats["shards"]["retire"]
         print(

@@ -4,20 +4,14 @@ Commands
 --------
 ``info``     print the machine configuration (the paper's Table IV)
 ``run``      simulate one workload on one machine and report the results
-``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style), a
-             Maestro shard-scaling curve when ``--shards`` is given, a
-             submission front-end sweep when ``--masters`` is given, a
-             retire pipeline-depth sweep when ``--retire-depth`` is a
-             comma list (fixed single --shards), the fast-dispatch
-             feature grid (TD cache x kick-off fast path) with
-             ``--dispatch`` (fixed single --shards), or the
-             staged-resolve grid (coalescing x speculative kick-off)
-             with ``--resolve`` (fixed single --shards), or the
-             decentralized-check grid (scatter decentralization x
-             check coalescing) with ``--check`` (fixed single --shards),
-             or the efficiency-vs-granularity curve (HW Maestro vs the
+``sweep``    speedup-vs-cores curve for a workload (Fig. 7/8 style); or a
+             grid of machine knobs (``--grid KNOB=V1,V2 ...``, one run per
+             point, speedup vs the smallest point); or the
+             efficiency-vs-granularity curve (HW Maestro vs the
              software-RTS baseline) with ``--efficiency`` on the
-             wait-chain workload
+             wait-chain workload.  A comma list on --shards, --masters,
+             --batch or --retire-depth is a grid axis, and --dispatch,
+             --resolve and --check add their preset on/off ablations
 ``workloads``list the available workload generators
 ``validate`` check a saved trace file for well-formedness and graph stats
 ``report``   pretty-print a ``run --metrics-out`` JSON document, or diff
@@ -31,29 +25,18 @@ Examples::
     python -m repro run gaussian --size 100 --workers 8 --no-contention
     python -m repro run random --tasks 1000 --shards 4 --workers 16
     python -m repro sweep independent --cores 1,4,16,64
-    python -m repro sweep random --tasks 1500 --shards 1,2,4 --no-contention
-    python -m repro run random --tasks 1000 --shards 4 --masters 2 --batch 4
-    python -m repro sweep random --tasks 1500 --shards 4 --masters 1,2,4 --batch 1,4,8
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 1,2,4,8 --no-contention
-    python -m repro run random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --no-contention
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
-        --retire-depth 4 --dispatch --no-contention --json BENCH_dispatch_latency.json
-    python -m repro run random --tasks 1200 --shards 4 --masters 8 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --coalesce 8 --spec-kickoff \
+    python -m repro sweep random --tasks 1500 --grid maestro_shards=1,2,4 \
         --no-contention
-    python -m repro sweep random --tasks 1200 --shards 4 --masters 8 --batch 8 \
-        --retire-depth 4 --td-cache 64 --fast-path --resolve --no-contention \
-        --json BENCH_resolve_latency.json
-    python -m repro run random --tasks 1200 --addresses 1024 --shards 4 \
-        --masters 8 --batch 8 --retire-depth 4 --td-cache 64 --fast-path \
-        --coalesce 8 --spec-kickoff --check-scatter --check-coalesce 8 \
-        --no-contention
+    python -m repro sweep random --tasks 1500 --shards 4 \
+        --grid master_cores=1,2,4 submission_batch=1,4,8
+    python -m repro sweep random --tasks 1200 --masters 4 --batch 8 \
+        --grid maestro_shards=2,4 retire_pipeline_depth=1,2,4,8 --no-contention
+    python -m repro sweep random --tasks 1200 --shards 4 --masters 4 --batch 8 \
+        --retire-depth 4 --grid kickoff_fast_path=off,on td_cache_entries=0,64 \
+        --no-contention --json dispatch.json
     python -m repro sweep random --tasks 1200 --addresses 1024 --shards 4 \
         --masters 8 --batch 8 --retire-depth 4 --td-cache 64 --fast-path \
-        --coalesce 8 --spec-kickoff --check --no-contention \
-        --json BENCH_check_scaling.json
+        --coalesce 8 --spec-kickoff --check --no-contention
     python -m repro run cholesky --tiles 6 --workers 8 --bottleneck
     python -m repro run wait-chain --rows 16 --cols 64 --spin-ns 500 \
         --trace-out run.trace.json
@@ -70,21 +53,21 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import difflib
 import sys
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .analysis import render_table
 from .config import SystemConfig
 from .machine import (
     analyze_bottleneck,
-    check_scaling_sweep,
-    dispatch_latency_sweep,
     efficiency_sweep,
-    master_scaling_sweep,
-    resolve_scaling_sweep,
-    retire_scaling_sweep,
+    grid_configs,
+    grid_sweep,
+    merge_grids,
+    preset_grid,
     run_trace,
-    shard_scaling_sweep,
     speedup_curve,
 )
 from .runtime.task_graph import build_task_graph
@@ -205,84 +188,112 @@ def build_workload(name: str, args: argparse.Namespace) -> TaskTrace:
     return builder(args)
 
 
-def _config_from(
-    args: argparse.Namespace, shards: Optional[int] = None
-) -> SystemConfig:
-    overrides = {"workers": args.workers}
-    if getattr(args, "no_contention", False):
-        overrides["memory_contention"] = False
-    if getattr(args, "no_prep", False):
-        overrides["task_prep_time"] = 0
-    if getattr(args, "depth", None):
-        overrides["buffering_depth"] = args.depth
-    if getattr(args, "restricted", False):
-        overrides["restricted"] = True
-    if shards is not None:
-        overrides["maestro_shards"] = shards
-    # sweep passes --masters/--batch/--retire-depth as comma lists it
-    # consumes itself; a single value still applies to the machine directly.
-    for flag, field_name in (
-        ("masters", "master_cores"),
-        ("batch", "submission_batch"),
-        ("retire_depth", "retire_pipeline_depth"),
-    ):
-        value = getattr(args, flag, None)
-        if isinstance(value, int):
-            overrides[field_name] = value
-        elif isinstance(value, str):
-            if not value.isdigit():
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} must be a positive integer "
-                    "(a comma list is only valid in the matching sweep); "
-                    f"got {value!r}"
-                )
-            overrides[field_name] = int(value)
-    if getattr(args, "hop_ns", None) is not None:
-        from .sim import NS
+#: Machine flags shared by info, run and sweep: (flag, SystemConfig knob,
+#: kind, help).  ``kind`` is ``int``; ``"ns"`` (an int in ns for a knob
+#: kept in ps); ``"count"`` (an int, or a comma list -- a grid axis -- in
+#: ``sweep``); a tuple of choices; or, for a switch, the value it sets.
+_MACHINE_FLAGS = [
+    ("--workers", "workers", int, "worker cores (default 16)"),
+    ("--no-contention", "memory_contention", False, "contention-free memory"),
+    ("--no-prep", "task_prep_time", 0, "zero master task-prep time"),
+    ("--depth", "buffering_depth", int, "Task Controller buffering depth"),
+    ("--restricted", "restricted", True, "original-Nexus limits"),
+    ("--kernel", "sim_kernel", ("heap", "wheel"),
+     "event-scheduler implementation (wheel = default fast kernel, heap = "
+     "original baseline; results are identical)"),
+    ("--telemetry-window", "telemetry_window", "ns",
+     "windowed telemetry sampling period in ns (0/omitted = off); "
+     "observe-only — the sampled schedule is cycle-identical to an "
+     "unsampled run"),
+    ("--shards", "maestro_shards", "count", "Maestro shard count"),
+    ("--hop-ns", "shard_hop_time", "ns", "shard hop latency (ns)"),
+    ("--masters", "master_cores", "count", "master core count"),
+    ("--batch", "submission_batch", "count", "TDs per submission bus transaction"),
+    ("--retire-depth", "retire_pipeline_depth", "count",
+     "finishes in flight per shard's retire front-end"),
+    ("--td-cache", "td_cache_entries", int,
+     "per-shard TD prefetch cache entries (0 = off)"),
+    ("--fast-path", "kickoff_fast_path", True,
+     "enable the kick-off fast path (resolving shard dispatches "
+     "became-ready waiters to idle local workers)"),
+    ("--prefetch-depth", "td_prefetch_depth", int,
+     "Dependence-Counter threshold that triggers a TD prefetch"),
+    ("--coalesce", "finish_coalesce_limit", int,
+     "finish notifications drained per resolve activation (1 = the "
+     "paper's one-at-a-time loop)"),
+    ("--coalesce-window", "finish_coalesce_window", "ns",
+     "ns the notify intake waits for stragglers before draining a batch "
+     "(needs --coalesce > 1)"),
+    ("--spec-kickoff", "speculative_kickoff", True,
+     "speculative kick-off: waiter kicks run in per-shard kick units, "
+     "overlapping the next notification's table update"),
+    ("--check-scatter", "decentralized_check_scatter", True,
+     "decentralize the Check Scatter: per-master scatter slices "
+     "re-sequenced per destination shard (program order preserved)"),
+    ("--check-coalesce", "check_coalesce_limit", int,
+     "check probes drained per check-engine activation (1 = the paper's "
+     "one-at-a-time Listing 2 loop)"),
+    ("--check-coalesce-window", "check_coalesce_window", "ns",
+     "ns the check intake waits for stragglers before draining a batch "
+     "(needs --check-coalesce > 1)"),
+]
 
-        overrides["shard_hop_time"] = args.hop_ns * NS
-    if getattr(args, "td_cache", None) is not None:
-        overrides["td_cache_entries"] = args.td_cache
-    if getattr(args, "fast_path", False):
-        overrides["kickoff_fast_path"] = True
-    if getattr(args, "prefetch_depth", None) is not None:
-        overrides["td_prefetch_depth"] = args.prefetch_depth
-    if getattr(args, "coalesce", None) is not None:
-        overrides["finish_coalesce_limit"] = args.coalesce
-    if getattr(args, "coalesce_window", None) is not None:
-        from .sim import NS
 
-        overrides["finish_coalesce_window"] = args.coalesce_window * NS
-    if getattr(args, "spec_kickoff", False):
-        overrides["speculative_kickoff"] = True
-    if getattr(args, "check_scatter", False):
-        overrides["decentralized_check_scatter"] = True
-    if getattr(args, "check_coalesce", None) is not None:
-        overrides["check_coalesce_limit"] = args.check_coalesce
-    if getattr(args, "check_coalesce_window", None) is not None:
-        from .sim import NS
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-        overrides["check_coalesce_window"] = args.check_coalesce_window * NS
-    if getattr(args, "kernel", None) is not None:
-        overrides["sim_kernel"] = args.kernel
-    if getattr(args, "telemetry_window", None) is not None:
-        from .sim import NS
 
-        overrides["telemetry_window"] = args.telemetry_window * NS
+def _is_switch(kind: Any) -> bool:
+    return not (kind is int or kind in ("ns", "count") or isinstance(kind, tuple))
+
+
+def _add_machine_args(p: argparse.ArgumentParser, lists: bool = False) -> None:
+    """Add the machine flags; with ``lists`` a "count" flag also takes a
+    comma list (a grid axis)."""
+    for flag, _, kind, text in _MACHINE_FLAGS:
+        if _is_switch(kind):
+            p.add_argument(flag, action="store_true", help=text)
+        elif isinstance(kind, tuple):
+            p.add_argument(flag, choices=kind, default=None, help=text)
+        elif kind == "count" and lists:
+            p.add_argument(flag, default=None, help=f"{text}; a comma list is a grid axis")
+        else:
+            p.add_argument(flag, type=int, default=None, help=text)
+
+
+def _overrides(args: argparse.Namespace) -> Dict[str, tuple[str, Any]]:
+    """``{knob: (flag, value)}`` for every machine flag the user set."""
+    from .sim import NS
+
+    out = {}
+    for flag, knob, kind, _ in _MACHINE_FLAGS:
+        value = getattr(args, _dest(flag), None)
+        if value is None or value is False:
+            continue
+        if _is_switch(kind):
+            value = kind
+        elif kind == "ns":
+            value *= NS
+        out[knob] = (flag, value)
+    return out
+
+
+def _config_from(args: argparse.Namespace) -> SystemConfig:
     try:
-        return SystemConfig(**overrides)
+        return SystemConfig(**{k: v for k, (_, v) in _overrides(args).items()})
     except ValueError as exc:
         # Configuration contradictions (e.g. --retire-depth 4 without a
         # sharded --shards) should read as usage errors, not tracebacks.
         raise SystemExit(str(exc)) from None
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
+def _add_workload_args(p: argparse.ArgumentParser, grid: bool = True) -> None:
     p.add_argument("workload", choices=sorted(WORKLOADS), help="workload name")
     p.add_argument("--tasks", type=int, help="task count (independent)")
     p.add_argument("--size", type=int, help="matrix dimension (gaussian)")
     p.add_argument("--tiles", type=int, help="tile grid side (cholesky/blocked-lu)")
-    p.add_argument("--grid", type=int, help="block grid side (jacobi/spatial)")
+    if grid:  # `sweep` shares --grid with its knob axes
+        p.add_argument("--grid", type=int, help="block grid side (jacobi/spatial)")
     p.add_argument("--iterations", type=int, help="iterations (jacobi)")
     p.add_argument("--leaves", type=int, help="leaves (reduction)")
     p.add_argument("--items", type=int, help="items (pipeline)")
@@ -304,86 +315,13 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="trace RNG seed (random)")
 
 
-def _add_machine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=16, help="worker cores")
-    p.add_argument("--no-contention", action="store_true", help="contention-free memory")
-    p.add_argument("--no-prep", action="store_true", help="zero master task-prep time")
-    p.add_argument("--depth", type=int, help="Task Controller buffering depth")
-    p.add_argument("--restricted", action="store_true", help="original-Nexus limits")
-    p.add_argument(
-        "--kernel", choices=("heap", "wheel"), default=None,
-        help="event-scheduler implementation (wheel = default fast kernel, "
-        "heap = original baseline; results are identical)",
-    )
-    p.add_argument(
-        "--telemetry-window", type=int, default=None,
-        help="windowed telemetry sampling period in ns (0/omitted = off); "
-        "observe-only — the sampled schedule is cycle-identical to an "
-        "unsampled run",
-    )
-
-
-def _add_dispatch_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--td-cache", type=int, default=None,
-        help="per-shard TD prefetch cache entries (0 = off)",
-    )
-    p.add_argument(
-        "--fast-path", action="store_true",
-        help="enable the kick-off fast path (resolving shard dispatches "
-        "became-ready waiters to idle local workers)",
-    )
-    p.add_argument(
-        "--prefetch-depth", type=int, default=None,
-        help="Dependence-Counter threshold that triggers a TD prefetch",
-    )
-
-
-def _add_resolve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--coalesce", type=int, default=None,
-        help="finish notifications drained per resolve activation "
-        "(1 = the paper's one-at-a-time loop)",
-    )
-    p.add_argument(
-        "--coalesce-window", type=int, default=None,
-        help="ns the notify intake waits for stragglers before draining "
-        "a batch (needs --coalesce > 1)",
-    )
-    p.add_argument(
-        "--spec-kickoff", action="store_true",
-        help="speculative kick-off: waiter kicks run in per-shard kick "
-        "units, overlapping the next notification's table update",
-    )
-
-
-def _add_check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--check-scatter", action="store_true",
-        help="decentralize the Check Scatter: per-master scatter slices "
-        "re-sequenced per destination shard (program order preserved)",
-    )
-    p.add_argument(
-        "--check-coalesce", type=int, default=None,
-        help="check probes drained per check-engine activation "
-        "(1 = the paper's one-at-a-time Listing 2 loop)",
-    )
-    p.add_argument(
-        "--check-coalesce-window", type=int, default=None,
-        help="ns the check intake waits for stragglers before draining "
-        "a batch (needs --check-coalesce > 1)",
-    )
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, shards=args.shards)
+    cfg = _config_from(args)
     print(render_table(["parameter", "value"], cfg.table_iv(), "System configuration"))
     # Completeness listing: every SystemConfig knob with its effective
     # value, so no knob (present or future) can hide from `info` — the
     # Table IV view above stays paper-shaped and only shows the knobs
     # that shape this machine.
-    import dataclasses
-
     rows = [
         [f.name, repr(getattr(cfg, f.name))]
         for f in dataclasses.fields(cfg)
@@ -438,9 +376,18 @@ def _run_with_hotspots(trace: TaskTrace, cfg: SystemConfig, top_n: int):
     return result, hotspots
 
 
+def _coalescing(stage: dict) -> str:
+    """Batch-shape summary of the resolve or check pipeline's coalescing."""
+    return (
+        f"coalesce {stage['coalesce_limit']}: mean batch "
+        f"{stage['mean_batch']:.2f}, {stage['row_merges']} row "
+        f"merges ({stage['coalesce_rate']:.0%})"
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     trace = build_workload(args.workload, args)
-    cfg = _config_from(args, shards=args.shards)
+    cfg = _config_from(args)
     print(trace.describe())
     hotspots_n = getattr(args, "profile_hotspots", None)
     if hotspots_n:
@@ -541,11 +488,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if resolve.get("coalesce_limit", 1) > 1 or resolve.get("speculative_kickoff"):
         bits = []
         if resolve["coalesce_limit"] > 1:
-            bits.append(
-                f"coalesce {resolve['coalesce_limit']}: mean batch "
-                f"{resolve['mean_batch']:.2f}, {resolve['row_merges']} row "
-                f"merges ({resolve['coalesce_rate']:.0%})"
-            )
+            bits.append(_coalescing(resolve))
         if resolve["speculative_kickoff"]:
             bits.append(f"{resolve['speculative_kicks']} speculative kicks")
         print(
@@ -562,11 +505,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"re-sequencer"
             )
         if check["coalesce_limit"] > 1:
-            bits.append(
-                f"coalesce {check['coalesce_limit']}: mean batch "
-                f"{check['mean_batch']:.2f}, {check['row_merges']} row "
-                f"merges ({check['coalesce_rate']:.0%})"
-            )
+            bits.append(_coalescing(check))
         print(
             f"check pipeline: {'; '.join(bits)}; "
             f"{check['batches']} batches / {check['probes']} probes"
@@ -611,47 +550,127 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    grids = [
-        f"--{name}"
-        for name in ("resolve", "dispatch", "check", "efficiency")
-        if getattr(args, name, False)
-    ]
-    if len(grids) > 1:
+_BOOLS = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+
+
+def _grid_axis(token: str) -> tuple[str, list]:
+    """Parse one ``--grid KNOB=V1,V2`` token (values in SystemConfig
+    units: picoseconds for times, on/off for switches)."""
+    knob, _, text = token.partition("=")
+    kinds = {f.name: str(f.type) for f in dataclasses.fields(SystemConfig)}
+    if knob not in kinds or knob == "notes":
+        hint = difflib.get_close_matches(knob, kinds, n=1)
         raise SystemExit(
-            f"{' and '.join(grids)} select different sweep grids; "
-            "pick one (run the sweep twice for both curves)"
+            f"--grid {token!r}: {knob!r} is not a SystemConfig knob"
+            + (f" (did you mean {hint[0]!r}?)" if hint else "")
         )
-    if getattr(args, "efficiency", False):
+    kind = kinds[knob]
+    parse = (
+        _BOOLS.__getitem__ if "bool" in kind
+        else int if "int" in kind
+        else float if "float" in kind
+        else str
+    )
+    try:
+        return knob, [
+            None if w == "none" and "Optional" in kind else parse(w)
+            for w in text.lower().split(",")
+        ]
+    except (KeyError, ValueError):
+        raise SystemExit(f"--grid {token!r}: values must be {kind}") from None
+
+
+def _sweep_grids(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    """The ``(flag, grid)`` pairs a sweep command line asks for: one axis
+    per comma list on a machine flag (a single value stays fixed) and per
+    ``--grid`` token; ``--dispatch``/``--resolve``/``--check`` add their
+    preset ablation, sized by --td-cache/--coalesce/--check-coalesce."""
+    grids = []
+    for flag, knob, kind, _ in _MACHINE_FLAGS:
+        value = getattr(args, _dest(flag))
+        if kind != "count" or value is None:
+            continue
+        values = _int_values(flag[2:], value)
+        if "," in value:
+            grids.append((flag, {"axes": {knob: values}}))
+            setattr(args, _dest(flag), None)
+        else:
+            setattr(args, _dest(flag), values[0])
+    for dest, size in (("dispatch", "td_cache"), ("resolve", "coalesce"),
+                       ("check", "check_coalesce")):
+        if getattr(args, dest):
+            value = getattr(args, size)
+            sizes = {} if value is None else {size: value}
+            grids.append((f"--{dest}", preset_grid(dest, **sizes)))
+            setattr(args, size, None)
+    tokens = args.grid or []
+    grids += [("--grid", {"axes": dict([_grid_axis(t)])}) for t in tokens if "=" in t]
+    sides = [t for t in tokens if "=" not in t]
+    if len(sides) > 1 or not all(t.isdigit() for t in sides):
+        raise SystemExit(
+            "--grid takes KNOB=V1,V2 axes and at most one integer (the "
+            f"jacobi/spatial block-grid side); got {sides}"
+        )
+    args.grid = int(sides[0]) if sides else None
+    if grids and args.cores is not None:
+        cores = _int_values("cores", args.cores)
+        grids.insert(0, ("--cores", {"axes": {"workers": cores}}))
+    return grids
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    grids = _sweep_grids(args)
+    if args.efficiency:
+        other = [f for f, _ in grids] + (["--cores"] if args.cores else [])
+        if other:
+            raise SystemExit(
+                f"--efficiency and {', '.join(dict.fromkeys(other))} select "
+                "different sweep grids; --efficiency sweeps spin time at a "
+                "fixed machine (run the sweep twice for both curves)"
+            )
         # Builds its own trace per swept spin time; no shared trace.
         return _efficiency_sweep(args)
+    if args.spin_ns is not None and "," in args.spin_ns:
+        raise SystemExit(
+            "--spin-ns is a trace parameter: a comma list sweeps it only "
+            "with `sweep wait-chain --efficiency`"
+        )
     trace = build_workload(args.workload, args)
-    if getattr(args, "check", False):
-        return _check_sweep(trace, args)
-    if getattr(args, "resolve", False):
-        return _resolve_sweep(trace, args)
-    if getattr(args, "dispatch", False):
-        return _dispatch_sweep(trace, args)
-    if args.retire_depth and "," in str(args.retire_depth):
-        return _retire_sweep(trace, args)
-    if args.masters:
-        return _master_sweep(trace, args)
-    if args.shards:
-        return _shard_sweep(trace, args)
+    if grids:
+        return _grid_sweep(trace, args, [g for _, g in grids])
     cfg = _config_from(args)
-    cores = _int_values("cores", args.cores)
+    cores = _int_values("cores", args.cores or "1,2,4,8,16")
     curve = speedup_curve(trace, cores, cfg)
     rows = [[c, round(s, 2), f"{s / c:.2f}"] for c, s in curve.rows()]
     print(render_table(["cores", "speedup", "efficiency"], rows, trace.name))
     print(f"saturation point: ~{curve.saturation_point()} cores")
-    if getattr(args, "profile", False):
+    if args.profile:
         _print_profile_summary(curve.runs)
     if args.json:
         rows = [{"cores": c, "speedup": round(s, 4)} for c, s in curve.rows()]
-        if getattr(args, "profile", False):
+        if args.profile:
             for row, run in zip(rows, curve.runs):
                 row["sim"] = run.stats.get("sim")
         _write_json(args.json, {"trace": trace.name, "rows": rows})
+    return 0
+
+
+def _grid_sweep(trace: TaskTrace, args: argparse.Namespace, grids: list) -> int:
+    """Any machine-knob grid: one run per point, speedup vs the smallest."""
+    fixed = _overrides(args)
+    base = {knob: value for knob, (_, value) in fixed.items()}
+    try:
+        grid = merge_grids(*grids)
+        for knob in set(grid["axes"]) & set(fixed):
+            raise ValueError(f"{fixed[knob][0]} sets {knob}, which the grid sweeps")
+        grid_configs(base, grid["axes"], grid["points"])
+    except ValueError as exc:
+        # A knob swept twice or an infeasible point (e.g. a sharded-only
+        # knob at maestro_shards=1) is a usage error, not a traceback.
+        raise SystemExit(str(exc)) from None
+    report = grid_sweep(trace, base, **grid)
+    print(report.render())
+    _sweep_report_out(args, report, report.runs)
     return 0
 
 
@@ -692,15 +711,12 @@ def _print_profile_summary(runs) -> None:
     )
 
 
-def _sweep_report_out(args: argparse.Namespace, report) -> None:
+def _sweep_report_out(args: argparse.Namespace, report, runs) -> None:
     """Shared sweep tail: optional --profile summary, optional --json dump."""
-    profile = getattr(args, "profile", False)
-    if profile:
-        runs = getattr(report, "hw_runs", None)
-        runs = report.hw_runs + report.sw_runs if runs is not None else report.runs
+    if args.profile:
         _print_profile_summary(runs)
     if args.json:
-        _write_json(args.json, report.to_json_dict(profile=profile))
+        _write_json(args.json, report.to_json_dict(profile=args.profile))
 
 
 def _efficiency_sweep(args: argparse.Namespace) -> int:
@@ -712,15 +728,7 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
             "the graph shape, --spin-ns the swept spin times)"
         )
     spins = _int_values("spin-ns", args.spin_ns or "250,1000,4000,16000,64000")
-    shards = None
-    if args.shards:
-        if "," in str(args.shards):
-            raise SystemExit(
-                "--efficiency sweeps spin time at a fixed machine shape; "
-                "give --shards a single value"
-            )
-        shards = int(args.shards)
-    cfg = _config_from(args, shards=shards)
+    cfg = _config_from(args)
     report = efficiency_sweep(
         spins,
         cfg,
@@ -729,371 +737,23 @@ def _efficiency_sweep(args: argparse.Namespace) -> int:
         k_deps=args.deps or 1,
         seed=args.seed if args.seed is not None else 11,
     )
-    rows = [
-        [
-            r["spin_ns"],
-            f"{r['hw_makespan_ps'] / 1e9:.4g}",
-            f"{r['sw_makespan_ps'] / 1e9:.4g}",
-            f"{r['hw_efficiency']:.1%}",
-            f"{r['sw_efficiency']:.1%}",
-            round(r["efficiency_ratio"], 2),
-            f"{r['hw_overhead_ns_per_task']:.0f}",
-            f"{r['sw_overhead_ns_per_task']:.0f}",
-        ]
-        for r in report.rows_out()
+    ms, pct, ns = (lambda v: f"{v / 1e9:.4g}"), (lambda v: f"{v:.1%}"), "{:.0f}".format
+    cells = [
+        ("spin (ns)", "spin_ns", str),
+        ("hw makespan (ms)", "hw_makespan_ps", ms),
+        ("sw makespan (ms)", "sw_makespan_ps", ms),
+        ("hw eff", "hw_efficiency", pct),
+        ("sw eff", "sw_efficiency", pct),
+        ("hw/sw", "efficiency_ratio", "{:.2f}".format),
+        ("hw ovh ns/task", "hw_overhead_ns_per_task", ns),
+        ("sw ovh ns/task", "sw_overhead_ns_per_task", ns),
     ]
-    print(
-        render_table(
-            [
-                "spin (ns)",
-                "hw makespan (ms)",
-                "sw makespan (ms)",
-                "hw eff",
-                "sw eff",
-                "hw/sw",
-                "hw ovh ns/task",
-                "sw ovh ns/task",
-            ],
-            rows,
-            f"{report.trace_name} @ {cfg.workers} workers",
-        )
-    )
+    rows = [[fmt(r[key]) for _, key, fmt in cells] for r in report.rows_out()]
+    title = f"{report.trace_name} @ {cfg.workers} workers"
+    print(render_table([header for header, _, _ in cells], rows, title))
     print()
     print(report.plot())
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _shard_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Maestro shard-scaling curve at a fixed worker count."""
-    shard_counts = _int_values("shards", args.shards)
-    depth = getattr(args, "retire_depth", None)
-    if depth is not None:
-        depth = _int_values("retire-depth", depth)[0]
-    if depth is not None and depth > 1 and min(shard_counts) < 2:
-        raise SystemExit(
-            f"--retire-depth {depth} needs the sharded engine at every "
-            "swept point; drop shard count 1 from --shards (the retire "
-            "pipeline has no meaning on the single-Maestro machine)"
-        )
-    # Build the base config at a swept shard count so sharded-only knobs
-    # (e.g. --retire-depth) validate; the sweep overrides it per point.
-    cfg = _config_from(args, shards=max(shard_counts))
-    report = shard_scaling_sweep(trace, shard_counts, cfg)
-    rows = [
-        [
-            r["shards"],
-            f"{r['makespan_ps'] / 1e9:.4g}",
-            round(r["speedup_vs_baseline"], 2),
-            r["busiest_maestro_block"],
-            r["steals"],
-            r["cross_shard_messages"],
-        ]
-        for r in report.rows()
-    ]
-    speedup_col = f"speedup vs {report.baseline_shards} shard(s)"
-    print(
-        render_table(
-            ["shards", "makespan (ms)", speedup_col, "busiest block", "steals", "x-shard msgs"],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _retire_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Retire pipeline-depth scaling curve at fixed workers/shards/masters."""
-    depths = _int_values("retire-depth", args.retire_depth)
-    args.retire_depth = None  # the sweep itself varies the depth
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--retire-depth sweeps the retire pipeline at a fixed shard "
-            "count; give --shards a single value > 1 (the pipeline lives "
-            "in the sharded engine)"
-        )
-    cfg = _config_from(args, shards=shards[0])
-    report = retire_scaling_sweep(trace, depths, cfg)
-    rows = [
-        [
-            r["depth"],
-            r["task_pool_ports"],
-            f"{r['makespan_ps'] / 1e9:.4g}",
-            round(r["speedup_vs_baseline"], 2),
-            round(r["retire_inflight_mean"], 2),
-            f"{r['retire_full_fraction']:.0%}",
-            r["busiest_maestro_block"],
-        ]
-        for r in report.rows()
-    ]
-    print(
-        render_table(
-            [
-                "depth",
-                "TP ports",
-                "makespan (ms)",
-                f"speedup vs depth {report.baseline_depth}",
-                "mean in-flight",
-                "pipe full",
-                "busiest block",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s)",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _dispatch_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Fast-dispatch feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--dispatch sweeps the fast-dispatch features at a fixed shard "
-            "count; give --shards a single value > 1 (the subsystem lives "
-            "in the sharded engine)"
-        )
-    td_cache = args.td_cache if args.td_cache is not None else 64
-    if td_cache < 1:
-        raise SystemExit("--td-cache must be >= 1 for a --dispatch sweep")
-    if args.fast_path:
-        raise SystemExit(
-            "--fast-path cannot be combined with --dispatch: the sweep "
-            "itself toggles the fast path (its grid covers on and off)"
-        )
-    # The sweep itself toggles the dispatch knobs; everything else is the
-    # fixed machine under test (--td-cache only sizes the cache-on points).
-    args.td_cache = None
-    cfg = _config_from(args, shards=shards[0])
-    report = dispatch_latency_sweep(trace, cfg, td_cache=td_cache)
-    rows = []
-    for r in report.rows():
-        hop = r["chain_hop_ns"]
-        rows.append(
-            [
-                r["td_cache"] or "off",
-                "on" if r["fast_path"] else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                r["chain_depth"],
-                f"{hop.get('total', 0.0):.0f}",
-                f"{hop.get('resolve', 0.0):.0f}/{hop.get('forward', 0.0):.0f}"
-                f"/{hop.get('td_transfer', 0.0):.0f}/{hop.get('start', 0.0):.0f}",
-                (
-                    f"{r['td_cache_hit_rate']:.0%}"
-                    if r["td_cache_hit_rate"] is not None
-                    else "-"
-                ),
-            ]
-        )
-    base_c, base_f = report.baseline_point
-    print(
-        render_table(
-            [
-                "TD cache",
-                "fast path",
-                "makespan (ms)",
-                f"speedup vs {base_c or 'off'}/{'on' if base_f else 'off'}",
-                "chain depth",
-                "ns/hop",
-                "resolve/fwd/TD/start",
-                "cache hits",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _resolve_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Staged-resolve feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--resolve sweeps the staged-resolve features at a fixed shard "
-            "count; give --shards a single value > 1 (the grid targets the "
-            "sharded machine — use resolve_scaling_sweep directly for a "
-            "single-Maestro study)"
-        )
-    coalesce = args.coalesce if args.coalesce is not None else 8
-    if coalesce < 2:
-        raise SystemExit("--coalesce must be >= 2 for a --resolve sweep")
-    if args.spec_kickoff:
-        raise SystemExit(
-            "--spec-kickoff cannot be combined with --resolve: the sweep "
-            "itself toggles speculative kick-off (its grid covers on and off)"
-        )
-    window = (args.coalesce_window or 0)
-    # The sweep itself toggles the resolve knobs; everything else is the
-    # fixed machine under test (--coalesce only sizes the on points).
-    args.coalesce = args.coalesce_window = None
-    cfg = _config_from(args, shards=shards[0])
-    from .sim import NS
-
-    report = resolve_scaling_sweep(trace, cfg, coalesce=coalesce, window=window * NS)
-    rows = []
-    for r in report.rows():
-        hop = r["chain_hop_ns"]
-        rows.append(
-            [
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                "on" if r["speculative"] else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                f"{hop.get('resolve', 0.0):.0f}",
-                f"{hop.get('total', 0.0):.0f}",
-                f"{r['mean_batch']:.2f}",
-                f"{r['coalesce_rate']:.1%}",
-                r["speculative_kicks"],
-            ]
-        )
-    base_c, base_s = report.baseline_point
-    print(
-        render_table(
-            [
-                "coalesce",
-                "spec kick",
-                "makespan (ms)",
-                f"speedup vs {base_c if base_c > 1 else 'off'}"
-                f"/{'on' if base_s else 'off'}",
-                "resolve ns",
-                "ns/hop",
-                "mean batch",
-                "merge rate",
-                "spec kicks",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _check_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Decentralized-check feature-grid sweep at a fixed machine shape."""
-    shards = _int_values("shards", args.shards) if args.shards else []
-    if len(shards) != 1 or shards[0] < 2:
-        raise SystemExit(
-            "--check sweeps the check-scatter features at a fixed shard "
-            "count; give --shards a single value > 1 (the grid targets the "
-            "sharded machine — use check_scaling_sweep directly for a "
-            "single-Maestro study)"
-        )
-    coalesce = args.check_coalesce if args.check_coalesce is not None else 8
-    if coalesce < 2:
-        raise SystemExit("--check-coalesce must be >= 2 for a --check sweep")
-    if args.check_scatter:
-        raise SystemExit(
-            "--check-scatter cannot be combined with --check: the sweep "
-            "itself toggles scatter decentralization (its grid covers on "
-            "and off)"
-        )
-    window = (args.check_coalesce_window or 0)
-    # The sweep itself toggles the check knobs; everything else is the
-    # fixed machine under test (--check-coalesce only sizes the on points).
-    args.check_coalesce = args.check_coalesce_window = None
-    cfg = _config_from(args, shards=shards[0])
-    from .sim import NS
-
-    report = check_scaling_sweep(trace, cfg, coalesce=coalesce, window=window * NS)
-    rows = []
-    for r in report.rows():
-        rows.append(
-            [
-                "on" if r["decentralized"] else "off",
-                r["coalesce"] if r["coalesce"] > 1 else "off",
-                f"{r['makespan_ps'] / 1e9:.4g}",
-                round(r["speedup_vs_baseline"], 2),
-                f"{r['scatter_busy']:.1%}",
-                f"{r['check_engine_busy']:.1%}",
-                f"{r['mean_batch']:.2f}",
-                f"{r['coalesce_rate']:.1%}",
-                r["busiest_maestro_block"],
-            ]
-        )
-    base_d, base_c = report.baseline_point
-    print(
-        render_table(
-            [
-                "decentral",
-                "coalesce",
-                "makespan (ms)",
-                f"speedup vs {'on' if base_d else 'off'}"
-                f"/{base_c if base_c > 1 else 'off'}",
-                "scatter busy",
-                "check busy",
-                "mean batch",
-                "merge rate",
-                "busiest block",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s), "
-            f"{cfg.master_cores} master(s), retire depth "
-            f"{cfg.retire_pipeline_depth}",
-        )
-    )
-    _sweep_report_out(args, report)
-    return 0
-
-
-def _master_sweep(trace: TaskTrace, args: argparse.Namespace) -> int:
-    """Submission front-end scaling curve at fixed workers and shards."""
-    master_counts = _int_values("masters", args.masters)
-    batch_sizes = _int_values("batch", args.batch or "1")
-    shards = None
-    if args.shards:
-        if "," in args.shards:
-            raise SystemExit(
-                "--masters sweeps the front-end at a fixed shard count; "
-                "give --shards a single value"
-            )
-        shards = int(args.shards)
-    # The sweep itself varies the front-end knobs.
-    args.masters = args.batch = None
-    cfg = _config_from(args, shards=shards)
-    report = master_scaling_sweep(trace, master_counts, batch_sizes, cfg)
-    rows = [
-        [
-            r["masters"],
-            r["batch"],
-            f"{r['makespan_ps'] / 1e9:.4g}",
-            round(r["speedup_vs_baseline"], 2),
-            (
-                f"{r['master_bound_fraction']:.0%}"
-                if r["master_bound_fraction"] is not None
-                else "-"
-            ),
-            r["busiest_maestro_block"],
-        ]
-        for r in report.rows()
-    ]
-    base_m, base_b = report.baseline_point
-    print(
-        render_table(
-            [
-                "masters",
-                "batch",
-                "makespan (ms)",
-                f"speedup vs {base_m}m/b{base_b}",
-                "master-bound",
-                "busiest block",
-            ],
-            rows,
-            f"{trace.name} @ {cfg.workers} workers, {cfg.maestro_shards} shard(s)",
-        )
-    )
-    _sweep_report_out(args, report)
+    _sweep_report_out(args, report, report.hw_runs + report.sw_runs)
     return 0
 
 
@@ -1154,19 +814,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_info = sub.add_parser("info", help="print the Table IV configuration")
     _add_machine_args(p_info)
-    p_info.add_argument("--shards", type=int, default=None, help="Maestro shard count")
-    p_info.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_info.add_argument("--masters", type=int, default=None, help="master core count")
-    p_info.add_argument(
-        "--batch", type=int, default=None, help="TDs per submission bus transaction"
-    )
-    p_info.add_argument(
-        "--retire-depth", type=int, default=None,
-        help="finishes in flight per shard's retire front-end",
-    )
-    _add_dispatch_args(p_info)
-    _add_resolve_args(p_info)
-    _add_check_args(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_wl = sub.add_parser("workloads", help="list workload generators")
@@ -1175,19 +822,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="simulate one workload")
     _add_workload_args(p_run)
     _add_machine_args(p_run)
-    p_run.add_argument("--shards", type=int, default=None, help="Maestro shard count")
-    p_run.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_run.add_argument("--masters", type=int, default=None, help="master core count")
-    p_run.add_argument(
-        "--batch", type=int, default=None, help="TDs per submission bus transaction"
-    )
-    p_run.add_argument(
-        "--retire-depth", type=int, default=None,
-        help="finishes in flight per shard's retire front-end",
-    )
-    _add_dispatch_args(p_run)
-    _add_resolve_args(p_run)
-    _add_check_args(p_run)
     p_run.add_argument("--verify", action="store_true", help="check schedule legality")
     p_run.add_argument("--bottleneck", action="store_true", help="attribute the bottleneck")
     p_run.add_argument(
@@ -1217,57 +851,31 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
-        "sweep", help="speedup curve over core counts (or shard counts)"
+        "sweep", help="speedup curve over core counts, or a grid of machine knobs"
     )
-    _add_workload_args(p_sweep)
-    _add_machine_args(p_sweep)
-    p_sweep.add_argument("--cores", default="1,2,4,8,16", help="comma-separated core counts")
+    _add_workload_args(p_sweep, grid=False)
+    _add_machine_args(p_sweep, lists=True)
     p_sweep.add_argument(
-        "--shards",
-        default=None,
-        help="comma-separated Maestro shard counts; switches to a shard-scaling sweep",
-    )
-    p_sweep.add_argument("--hop-ns", type=int, default=None, help="shard hop latency (ns)")
-    p_sweep.add_argument(
-        "--masters",
-        default=None,
-        help="comma-separated master core counts; switches to a submission "
-        "front-end sweep (fixed --shards, --batch may also be a comma list)",
+        "--grid", nargs="+", action="extend", default=None, metavar="KNOB=V1,V2",
+        help="sweep a grid of SystemConfig knobs, one axis per token "
+        "(values in config units: ps for times, on/off for switches); "
+        "speedups are against the smallest point.  A bare integer token is "
+        "the jacobi/spatial block-grid side",
     )
     p_sweep.add_argument(
-        "--batch",
-        default=None,
-        help="TDs per bus transaction (comma list allowed with --masters)",
+        "--cores", default=None,
+        help="comma-separated core counts for the speedup curve (default "
+        "1,2,4,8,16); beside a grid axis, the grid's workers axis",
     )
-    p_sweep.add_argument(
-        "--retire-depth",
-        default=None,
-        help="finishes in flight per shard's retire front-end; a comma "
-        "list switches to a retire pipeline-depth sweep (fixed --shards)",
-    )
-    _add_dispatch_args(p_sweep)
-    _add_resolve_args(p_sweep)
-    p_sweep.add_argument(
-        "--dispatch",
-        action="store_true",
-        help="sweep the fast-dispatch feature grid (cache x fast path) at a "
-        "fixed single --shards; --td-cache sets the cache-on size",
-    )
-    p_sweep.add_argument(
-        "--resolve",
-        action="store_true",
-        help="sweep the staged-resolve grid (coalescing x speculative "
-        "kick-off) at a fixed single --shards; --coalesce sets the "
-        "on-point batch limit",
-    )
-    _add_check_args(p_sweep)
-    p_sweep.add_argument(
-        "--check",
-        action="store_true",
-        help="sweep the decentralized-check grid (scatter decentralization "
-        "x check coalescing) at a fixed single --shards; --check-coalesce "
-        "sets the on-point batch limit",
-    )
+    for name, what in (
+        ("dispatch", "fast-dispatch ablation (TD cache x kick-off fast path); "
+         "--td-cache sizes the cache-on points (default 64)"),
+        ("resolve", "staged-resolve ablation (finish coalescing x speculative "
+         "kick-off); --coalesce sizes the on points (default 8)"),
+        ("check", "decentralized-check ablation (scatter slices x check "
+         "coalescing); --check-coalesce sizes the on points (default 8)"),
+    ):
+        p_sweep.add_argument(f"--{name}", action="store_true", help=f"add the {what}")
     p_sweep.add_argument(
         "--efficiency",
         action="store_true",

@@ -9,21 +9,19 @@ from .bottleneck import (
 from .machine import NexusMachine, run_trace
 from .results import RunResult, Scoreboard, TaskRecord
 from .sweep import (
-    CheckScalingReport,
-    DispatchLatencyReport,
+    BASIC_COLUMNS,
+    COLUMNS,
+    GRID_PRESETS,
+    Column,
     EfficiencyReport,
-    efficiency_sweep,
-    MasterScalingReport,
-    ResolveScalingReport,
-    RetireScalingReport,
-    ShardScalingReport,
+    GridReport,
     SpeedupCurve,
-    check_scaling_sweep,
-    dispatch_latency_sweep,
-    master_scaling_sweep,
-    resolve_scaling_sweep,
-    retire_scaling_sweep,
-    shard_scaling_sweep,
+    default_columns,
+    efficiency_sweep,
+    grid_configs,
+    grid_sweep,
+    merge_grids,
+    preset_grid,
     speedup_curve,
     sweep_parameter,
 )
@@ -36,19 +34,17 @@ __all__ = [
     "TaskRecord",
     "SpeedupCurve",
     "speedup_curve",
+    "Column",
+    "COLUMNS",
+    "BASIC_COLUMNS",
+    "GRID_PRESETS",
+    "preset_grid",
+    "default_columns",
+    "merge_grids",
+    "grid_configs",
+    "GridReport",
+    "grid_sweep",
     "sweep_parameter",
-    "ShardScalingReport",
-    "shard_scaling_sweep",
-    "MasterScalingReport",
-    "master_scaling_sweep",
-    "RetireScalingReport",
-    "retire_scaling_sweep",
-    "DispatchLatencyReport",
-    "dispatch_latency_sweep",
-    "ResolveScalingReport",
-    "resolve_scaling_sweep",
-    "CheckScalingReport",
-    "check_scaling_sweep",
     "EfficiencyReport",
     "efficiency_sweep",
     "BottleneckReport",

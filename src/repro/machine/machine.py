@@ -17,6 +17,7 @@ Typical use::
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional
 
 from ..analysis.telemetry import TelemetrySampler
@@ -44,8 +45,10 @@ class NexusMachine:
     def run(self, trace: TaskTrace, max_time: Optional[int] = None) -> RunResult:
         """Simulate the trace to completion and return the results.
 
-        Raises :class:`CapacityError` in restricted (original-Nexus) mode
-        when the workload exceeds a fixed structure, and
+        Raises :class:`CapacityError` before simulating when a task has
+        more distinct addresses than its Dependence Table (or, sharded,
+        one shard's slice) holds, and in restricted (original-Nexus) mode
+        when the workload exceeds a fixed structure; and
         :class:`repro.sim.DeadlockError` if the machine genuinely wedges
         (which would be a configuration or model bug — the paper's sizing
         rules make the default machine deadlock-free).
@@ -53,6 +56,7 @@ class NexusMachine:
         cfg = self.config
         sim = Simulator(kernel=cfg.sim_kernel)
         fabric = Fabric(sim, cfg, trace)
+        _check_table_capacity(trace, cfg, fabric)
         scoreboard = Scoreboard(len(trace))
 
         master = MasterCluster(fabric, scoreboard)
@@ -433,6 +437,31 @@ def _register_telemetry(
     # exportable; events/sec is wall-clock derived and flagged host-only.
     sampler.add_counter("sim.events", lambda: sim.events_processed)
     sampler.add_events_per_sec(sim)
+
+
+def _check_table_capacity(trace: TaskTrace, cfg: SystemConfig, fabric: Fabric) -> None:
+    """Reject a task whose distinct addresses can never sit in its
+    Dependence Table (or one shard's slice of it) at once.
+
+    Such a task's check holds every entry it got and waits for one only
+    its own retirement would free, so the run could only end in a
+    deadlock.  Feasible traces pay one length compare per task.
+    """
+    cap = cfg.dt_entries_per_shard if fabric.sharded else cfg.dependence_table_entries
+    for task in trace:
+        if task.n_params <= cap:
+            continue
+        addrs = {p.addr for p in task.params}
+        if fabric.sharded:
+            shard, need = Counter(fabric.shard_of(a) for a in addrs).most_common(1)[0]
+            where = f"Maestro shard {shard}'s Dependence Table slice"
+        else:
+            need, where = len(addrs), "the Dependence Table"
+        if need > cap:
+            raise CapacityError(
+                f"task {task.tid} needs {need} Dependence Table entries (one "
+                f"per distinct address) but {where} holds {cap}"
+            )
 
 
 def run_trace(trace: TaskTrace, config: Optional[SystemConfig] = None) -> RunResult:

@@ -1,15 +1,21 @@
-"""Parameter sweeps: speedup curves and design-space exploration helpers.
+"""Parameter sweeps: speedup curves, machine-knob grids, efficiency curves.
 
-All the paper's figures are sweeps of one machine parameter (worker count,
-Dependence Table size, Task Pool size, buffering depth) at a fixed
-workload; this module runs them and collects paper-style series.
+All the paper's figures sweep machine parameters at a fixed workload.
+:func:`speedup_curve` is the paper's method (speedup vs worker count
+against the 1-worker run); :func:`grid_sweep` runs any grid of
+:class:`SystemConfig` knobs against one baseline point, with the scaling
+studies as its :data:`GRID_PRESETS` and :func:`sweep_parameter` as a
+one-axis grid; :func:`efficiency_sweep` runs the HW Maestro and the
+software RTS over task granularity, a fresh trace per point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from ..analysis.tables import format_value, render_table
 from ..config import SystemConfig
 from ..traces.trace import TaskTrace
 from .machine import NexusMachine
@@ -18,30 +24,20 @@ from .results import RunResult
 __all__ = [
     "SpeedupCurve",
     "speedup_curve",
+    "Column",
+    "COLUMNS",
+    "BASIC_COLUMNS",
+    "GRID_PRESETS",
+    "preset_grid",
+    "default_columns",
+    "merge_grids",
+    "grid_configs",
+    "GridReport",
+    "grid_sweep",
     "sweep_parameter",
-    "ShardScalingReport",
-    "shard_scaling_sweep",
-    "MasterScalingReport",
-    "master_scaling_sweep",
-    "RetireScalingReport",
-    "retire_scaling_sweep",
-    "DispatchLatencyReport",
-    "dispatch_latency_sweep",
-    "ResolveScalingReport",
-    "resolve_scaling_sweep",
-    "CheckScalingReport",
-    "check_scaling_sweep",
     "EfficiencyReport",
     "efficiency_sweep",
 ]
-
-
-def _attach_profiles(rows: List[dict], runs: Sequence[RunResult]) -> None:
-    """Attach each run's host-kernel profile (``stats["sim"]``: wall
-    seconds, events processed, events/sec, peak pending) to its row —
-    the sweep JSON analogue of ``run --profile``."""
-    for row, run in zip(rows, runs):
-        row["sim"] = run.stats.get("sim")
 
 
 @dataclass
@@ -117,710 +113,520 @@ def speedup_curve(
     )
 
 
-@dataclass
-class ShardScalingReport:
-    """Makespan vs Maestro shard count at a fixed worker count.
+# ---- the grid engine -----------------------------------------------------------------
+# Every scaling study is one loop: vary SystemConfig knobs over a grid, run
+# each point, report its speedup over one baseline point beside per-run
+# statistics from the one COLUMNS registry.  Studies are GRID_PRESETS.
 
-    Speedups are measured against the 1-shard machine (the paper-exact
-    single Maestro), answering the design-space question the paper could
-    not ask: how far does hardware dependency resolution scale when the
-    Dependence Table itself is partitioned?
+
+@dataclass(frozen=True)
+class Column:
+    """One named per-run statistic: how to read it and how to print it.
+
+    ``extract(run, baseline_run)`` returns the JSON value stored in a
+    report row; ``fmt`` turns that value into a table cell.
     """
 
-    trace_name: str
-    workers: int
-    shard_counts: List[int]
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def makespans(self) -> List[int]:
-        return [r.makespan for r in self.runs]
-
-    @property
-    def baseline_shards(self) -> int:
-        """Shard count speedups are measured against: 1 when the sweep
-        includes the single-Maestro machine, else the smallest count run
-        (the report labels the baseline explicitly either way)."""
-        return 1 if 1 in self.shard_counts else min(self.shard_counts)
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.shard_counts.index(self.baseline_shards)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, shards: int) -> RunResult:
-        return self.runs[self.shard_counts.index(shards)]
-
-    def rows(self) -> List[dict]:
-        """One report row per shard count (used by the CLI and the bench)."""
-        out = []
-        for shards, run, speedup in zip(self.shard_counts, self.runs, self.speedups):
-            util = run.stats.get("maestro_utilization", {})
-            shard_info = run.stats.get("shards", {})
-            icn = shard_info.get("interconnect", {})
-            out.append(
-                {
-                    "shards": shards,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                    "interconnect_messages": icn.get("messages", 0),
-                    "cross_shard_messages": icn.get("cross_shard_messages", 0),
-                    "steals": shard_info.get("steals", 0),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "baseline_shards": self.baseline_shards,
-            "rows": rows,
-        }
+    header: str
+    extract: Callable[[RunResult, RunResult], Any]
+    fmt: Callable[[Any], str] = format_value
 
 
-def shard_scaling_sweep(
-    trace: TaskTrace,
-    shard_counts: Sequence[int],
-    config: Optional[SystemConfig] = None,
-) -> ShardScalingReport:
-    """Run ``trace`` once per Maestro shard count (same workers throughout).
+def _stat(*path: str, default: Any = 0, digits: Optional[int] = None):
+    """Extractor for ``run.stats[path[0]][path[1]]...`` (``default`` when
+    any level is absent), rounded to ``digits`` when given."""
 
-    ``shards=1`` uses the paper-exact single-Maestro engine, so the curve's
-    baseline is the machine the paper measured; every other point uses the
-    sharded subsystem.
+    def extract(run: RunResult, base: RunResult) -> Any:
+        node = run.stats
+        for key in path[:-1]:
+            node = node.get(key) or {}
+        value = node.get(path[-1], default)
+        return value if digits is None or value is None else round(value, digits)
+
+    return extract
+
+
+def _per_shard(reduce: Callable[[List[Any]], Any], *path: str, default: Any = 0):
+    """Extractor reducing a per-shard list stat (``[default]`` when absent)."""
+    read = _stat(*path, default=None)
+    return lambda run, base: reduce(read(run, base) or [default])
+
+
+def _busy(keep: Callable[[str], bool]):
+    """Peak utilization over the Maestro blocks ``keep`` selects (None if
+    none ran)."""
+
+    def extract(run: RunResult, base: RunResult) -> Optional[float]:
+        util = run.stats.get("maestro_utilization", {})
+        busy = [v for k, v in util.items() if keep(k)]
+        return round(max(busy), 4) if busy else None
+
+    return extract
+
+
+def _busiest(run: RunResult, base: RunResult) -> Optional[str]:
+    util = run.stats.get("maestro_utilization", {})
+    return max(util, key=util.get) if util else None
+
+
+def _master_bound(run: RunResult, base: RunResult) -> Optional[float]:
+    if run.master_done is None or not run.makespan:
+        return None
+    return round(run.master_done / run.makespan, 4)
+
+
+def _us(ps: Optional[int]) -> str:
+    return "-" if ps is None else f"{ps / 1e6:.4g}"
+
+
+def _pct(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.1%}"
+
+
+_2f = "{:.2f}".format
+
+
+def _hops(hops: Dict[str, float]) -> str:
+    parts = ("resolve", "forward", "td_transfer", "start")
+    return "/".join(f"{hops.get(c, 0.0):.0f}" for c in parts)
+
+
+def _batch_columns(stage: str) -> Dict[str, Column]:
+    """The batch-shape counters the resolve and check pipelines share."""
+    rounded = {"default": 0.0, "digits": 4}
+    return {
+        f"{stage}.window_ps": Column("window ps", _stat(stage, "coalesce_window_ps")),
+        f"{stage}.mean_batch": Column(
+            "mean batch", _stat(stage, "mean_batch", **rounded), _2f
+        ),
+        f"{stage}.coalesce_rate": Column(
+            "merge rate", _stat(stage, "coalesce_rate", **rounded), _pct
+        ),
+        f"{stage}.row_merges": Column("row merges", _stat(stage, "row_merges")),
+    }
+
+
+#: Every statistic a grid report can carry, by name.  A row stores a
+#: column under the part of its name after the last dot
+#: (``resolve.mean_batch`` -> ``mean_batch``) unless two selected columns
+#: share that short key, in which case both keep their full names.
+COLUMNS: Dict[str, Column] = {
+    "makespan_ps": Column("makespan (us)", lambda r, b: r.makespan, _us),
+    "speedup_vs_baseline": Column(
+        "speedup", lambda r, b: round(b.makespan / r.makespan, 4), _2f
+    ),
+    "busiest_maestro_block": Column("busiest block", _busiest),
+    "busiest_block_utilization": Column("block util", _busy(lambda k: True), _pct),
+    "interconnect_messages": Column(
+        "icn msgs", _stat("shards", "interconnect", "messages")
+    ),
+    "cross_shard_messages": Column(
+        "x-shard msgs", _stat("shards", "interconnect", "cross_shard_messages")
+    ),
+    "steals": Column("steals", _stat("shards", "steals")),
+    "steals_after_forward": Column(
+        "fwd steals", _stat("shards", "steals_after_forward")
+    ),
+    "master_done_ps": Column("master done (us)", lambda r, b: r.master_done, _us),
+    "master_bound_fraction": Column("master-bound", _master_bound, _pct),
+    "master_stall_ps": Column("master stall ps", _stat("master_stall_ps")),
+    "retire.task_pool_ports": Column(
+        "TP ports", lambda r, b: r.config_notes.get("task_pool_ports")
+    ),
+    "retire_inflight_mean": Column(
+        "mean in-flight",
+        _per_shard(
+            lambda v: round(sum(v) / len(v), 4), "shards", "retire", "inflight_mean",
+            default=0.0,
+        ),
+        _2f,
+    ),
+    "retire_inflight_max": Column(
+        "max in-flight", _per_shard(max, "shards", "retire", "inflight_max")
+    ),
+    "retire_full_fraction": Column(
+        "pipe full",
+        _per_shard(
+            lambda v: round(max(v), 4), "shards", "retire", "full_fraction",
+            default=0.0,
+        ),
+        _pct,
+    ),
+    "chain_depth": Column("chain depth", _stat("dispatch", "chain_depth")),
+    "chain_fraction": Column(
+        "chain frac", _stat("dispatch", "chain_fraction", default=0.0), _pct
+    ),
+    "chain_hop_ns": Column(
+        "resolve/fwd/TD/start", _stat("dispatch", "chain_hop_ns", default={}), _hops
+    ),
+    "dominant_chain_component": Column(
+        "dominant hop", _stat("dispatch", "dominant_chain_component", default=None)
+    ),
+    "td_cache_hit_rate": Column(
+        "cache hits",
+        _stat(
+            "dispatch", "fast_dispatch", "td_cache", "hit_rate", default=None, digits=4
+        ),
+        _pct,
+    ),
+    "fast_dispatches": Column(
+        "fast dispatches", _stat("dispatch", "fast_dispatch", "fast_dispatches")
+    ),
+    "speculative_kicks": Column("spec kicks", _stat("resolve", "speculative_kicks")),
+    # The scatter block's occupancy: the central sequencer when it runs,
+    # else the busiest per-master slice engine.
+    "scatter_busy": Column(
+        "scatter busy",
+        _busy(lambda k: k == "scatter" or k.endswith(".scatter")),
+        _pct,
+    ),
+    "check_engine_busy": Column(
+        "check busy", _busy(lambda k: k.endswith(".check")), _pct
+    ),
+    "reseq_max_held": Column(
+        "reseq held", _per_shard(max, "check", "reseq_max_held")
+    ),
+    **_batch_columns("resolve"),
+    **_batch_columns("check"),
+}
+#: Short row keys for the knobs the presets sweep; any other knob is
+#: reported under its own field name.
+AXIS_LABELS = {
+    "maestro_shards": "shards",
+    "master_cores": "masters",
+    "submission_batch": "batch",
+    "retire_pipeline_depth": "depth",
+    "td_cache_entries": "td_cache",
+    "kickoff_fast_path": "fast_path",
+    "finish_coalesce_limit": "coalesce",
+    "speculative_kickoff": "speculative",
+    "decentralized_check_scatter": "decentralized",
+    "check_coalesce_limit": "coalesce",
+}
+
+#: (batch-limit knob, straggler-window knob): a window only exists at
+#: points that coalesce, so a grid point with the limit at 1 runs with
+#: the window zeroed.
+_COALESCE_WINDOWS = (
+    ("finish_coalesce_limit", "finish_coalesce_window"),
+    ("check_coalesce_limit", "check_coalesce_window"),
+)
+
+
+def _ablation(knobs: tuple[str, str], off: tuple, on: tuple) -> Dict[str, Any]:
+    """Two-feature on/off ablation: both off, the first alone, the second
+    alone, both on."""
+    (a0, b0), (a1, b1) = off, on
+    return {
+        "axes": {knobs[0]: [a0, a1], knobs[1]: [b0, b1]},
+        "points": [(a0, b0), (a1, b0), (a0, b1), (a1, b1)],
+    }
+
+
+_RUN = ("makespan_ps", "speedup_vs_baseline")
+_BUSIEST = ("busiest_maestro_block", "busiest_block_utilization")
+_CHAIN = ("chain_depth", "chain_fraction", "chain_hop_ns", "dominant_chain_component")
+
+#: The columns a grid reports when neither ``columns`` nor a preset
+#: covering one of its axes says otherwise.
+BASIC_COLUMNS = _RUN + _BUSIEST
+
+#: Named grids, one per scaling study the benches pin.  Each maker
+#: returns ``grid_sweep`` keyword arguments (``axes``, optional
+#: ``points``, ``columns``); its parameters size the swept values.
+#: The resolve and check ablations' coalesce-on points keep the base
+#: config's coalescing window; retire depths derive their Task Pool ports
+#: unless the base config pins ``task_pool_ports``.
+GRID_PRESETS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "shards": lambda shards=(1, 2, 4): {
+        "axes": {"maestro_shards": list(shards)},
+        "columns": _RUN + _BUSIEST
+        + ("interconnect_messages", "cross_shard_messages", "steals"),
+    },
+    "masters": lambda masters=(1, 2, 4), batch=(1, 4, 8): {
+        "axes": {"master_cores": list(masters), "submission_batch": list(batch)},
+        "columns": _RUN
+        + ("master_done_ps", "master_bound_fraction", "master_stall_ps")
+        + _BUSIEST,
+    },
+    "retire": lambda depths=(1, 2, 4, 8): {
+        "axes": {"retire_pipeline_depth": list(depths)},
+        "columns": ("retire.task_pool_ports",) + _RUN
+        + ("retire_inflight_mean", "retire_inflight_max", "retire_full_fraction")
+        + _BUSIEST,
+    },
+    "dispatch": lambda td_cache=64: {
+        **_ablation(
+            ("td_cache_entries", "kickoff_fast_path"), (0, False), (td_cache, True)
+        ),
+        "columns": _RUN + _CHAIN
+        + ("td_cache_hit_rate", "fast_dispatches", "steals", "steals_after_forward"),
+    },
+    "resolve": lambda coalesce=8: {
+        **_ablation(
+            ("finish_coalesce_limit", "speculative_kickoff"), (1, False), (coalesce, True)
+        ),
+        "columns": ("resolve.window_ps",) + _RUN + _CHAIN
+        + ("resolve.mean_batch", "resolve.coalesce_rate", "resolve.row_merges")
+        + ("speculative_kicks", "busiest_maestro_block"),
+    },
+    "check": lambda check_coalesce=8: {
+        **_ablation(
+            ("decentralized_check_scatter", "check_coalesce_limit"),
+            (False, 1),
+            (True, check_coalesce),
+        ),
+        "columns": ("check.window_ps",) + _RUN
+        + ("scatter_busy", "check_engine_busy")
+        + ("check.mean_batch", "check.coalesce_rate", "check.row_merges")
+        + ("reseq_max_held", "busiest_maestro_block"),
+    },
+}
+
+
+def preset_grid(name: str, **sizes: Any) -> Dict[str, Any]:
+    """``grid_sweep`` keyword arguments for the named preset grid.
+
+    ``grid_sweep(trace, cfg, **preset_grid("dispatch", td_cache=16))``.
     """
-    if not shard_counts:
-        raise ValueError("need at least one shard count")
-    base = config or SystemConfig()
-    runs = [
-        NexusMachine(base.with_(maestro_shards=s)).run(trace) for s in shard_counts
-    ]
-    return ShardScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shard_counts=list(shard_counts),
-        runs=runs,
-    )
-
-
-@dataclass
-class MasterScalingReport:
-    """Makespan vs (master cores, submission batch) at fixed workers/shards.
-
-    Answers the question PR 1's shard sweep raised: once dependency
-    resolution is sharded the serial master is the ceiling — how far do
-    parallel submitters and DMA-style descriptor batching lift it?
-    Speedups are measured against the (1 master, batch 1) run when present,
-    else the smallest configuration swept.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    points: List[tuple[int, int]]  # (master_cores, submission_batch)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[int, int]:
-        return (1, 1) if (1, 1) in self.points else min(self.points)
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, masters: int, batch: int) -> RunResult:
-        return self.runs[self.points.index((masters, batch))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (masters, batch), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            util = run.stats.get("maestro_utilization", {})
-            out.append(
-                {
-                    "masters": masters,
-                    "batch": batch,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "master_done_ps": run.master_done,
-                    "master_bound_fraction": (
-                        round(run.master_done / run.makespan, 4)
-                        if run.master_done is not None and run.makespan
-                        else None
-                    ),
-                    "master_stall_ps": run.stats.get("master_stall_ps", 0),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline": {
-                "masters": self.baseline_point[0],
-                "batch": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def master_scaling_sweep(
-    trace: TaskTrace,
-    master_counts: Sequence[int],
-    batch_sizes: Sequence[int] = (1,),
-    config: Optional[SystemConfig] = None,
-) -> MasterScalingReport:
-    """Run ``trace`` once per (master count, batch size) combination.
-
-    Every run keeps the worker count and Maestro shard count of ``config``;
-    only the submission front-end varies, so the curve isolates it.
-    """
-    if not master_counts or not batch_sizes:
-        raise ValueError("need at least one master count and one batch size")
-    base = config or SystemConfig()
-    points = [(m, b) for m in master_counts for b in batch_sizes]
-    runs = [
-        NexusMachine(base.with_(master_cores=m, submission_batch=b)).run(trace)
-        for m, b in points
-    ]
-    return MasterScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        points=points,
-        runs=runs,
-    )
-
-
-@dataclass
-class RetireScalingReport:
-    """Makespan vs retire pipeline depth at fixed workers/shards/masters.
-
-    Answers the question PR 2's submission sweep raised: once submission is
-    parallel the per-shard retire front-end is the ceiling — how far does
-    pipelining retirement (multiple ticket-tagged finishes in flight per
-    shard) lift it?  Each swept depth is the full pipelined-retire design
-    point: ``retire_pipeline_depth`` tickets per shard *and* the Task Pool
-    ports the config derives for them (``SystemConfig.tp_ports``), so depth
-    1 is exactly today's serialized machine.  Speedups are measured against
-    the depth-1 run when present, else the shallowest depth swept.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    depths: List[int]
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_depth(self) -> int:
-        return 1 if 1 in self.depths else min(self.depths)
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.depths.index(self.baseline_depth)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, depth: int) -> RunResult:
-        return self.runs[self.depths.index(depth)]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept depth (used by the CLI and the bench)."""
-        out = []
-        for depth, run, speedup in zip(self.depths, self.runs, self.speedups):
-            util = run.stats.get("maestro_utilization", {})
-            retire = run.stats.get("shards", {}).get("retire", {})
-            inflight = retire.get("inflight_mean") or [0.0]
-            full = retire.get("full_fraction") or [0.0]
-            out.append(
-                {
-                    "depth": depth,
-                    "task_pool_ports": run.config_notes.get("task_pool_ports"),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "retire_inflight_mean": round(sum(inflight) / len(inflight), 4),
-                    "retire_inflight_max": max(
-                        retire.get("inflight_max") or [0]
-                    ),
-                    "retire_full_fraction": round(max(full), 4),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                    "busiest_block_utilization": (
-                        round(max(util.values()), 4) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline_depth": self.baseline_depth,
-            "rows": rows,
-        }
-
-
-def retire_scaling_sweep(
-    trace: TaskTrace,
-    depths: Sequence[int],
-    config: Optional[SystemConfig] = None,
-) -> RetireScalingReport:
-    """Run ``trace`` once per retire pipeline depth (same machine otherwise).
-
-    ``config`` must use the sharded Maestro engine — the retire pipeline
-    lives in its per-shard front-ends; the single-Maestro machine has no
-    depth knob to sweep.  Leave ``task_pool_ports`` unset (``None``) so each
-    depth derives its own port provisioning; an explicit port count is kept
-    as given for every depth.
-    """
-    if not depths:
-        raise ValueError("need at least one retire pipeline depth")
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
+    try:
+        make = GRID_PRESETS[name]
+    except KeyError:
         raise ValueError(
-            "retire_scaling_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
-        )
-    runs = [
-        NexusMachine(base.with_(retire_pipeline_depth=d)).run(trace)
-        for d in depths
+            f"unknown grid preset {name!r}; try: {', '.join(GRID_PRESETS)}"
+        ) from None
+    return make(**sizes)
+
+
+#: knob -> the columns of the preset that sweeps it.
+_KNOB_COLUMNS: Dict[str, tuple] = {
+    knob: grid["columns"]
+    for grid in (make() for make in GRID_PRESETS.values())
+    for knob in grid["axes"]
+}
+
+
+def default_columns(axes: Sequence[str]) -> List[str]:
+    """The columns of every preset that sweeps one of ``axes`` (in axis
+    order, duplicates dropped), or :data:`BASIC_COLUMNS` for none."""
+    cols = [c for knob in axes for c in _KNOB_COLUMNS.get(knob, BASIC_COLUMNS)]
+    return list(dict.fromkeys(cols))
+
+
+def merge_grids(*grids: Mapping[str, Any]) -> Dict[str, Any]:
+    """Cross several grids (each ``axes`` plus optional ``points`` and
+    ``columns``) into one: the earlier grid's points vary slowest."""
+    axes: Dict[str, List[Any]] = {}
+    for grid in grids:
+        for knob, values in grid["axes"].items():
+            if knob in axes:
+                raise ValueError(f"{knob} is swept by two grids")
+            axes[knob] = list(values)
+    blocks = [
+        grid.get("points") or list(itertools.product(*grid["axes"].values()))
+        for grid in grids
     ]
-    return RetireScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        depths=list(depths),
-        runs=runs,
-    )
+    columns = [
+        c for grid in grids for c in grid.get("columns") or default_columns(grid["axes"])
+    ]
+    return {
+        "axes": axes,
+        "points": [sum(combo, ()) for combo in itertools.product(*blocks)],
+        "columns": list(dict.fromkeys(columns)),
+    }
 
 
-@dataclass
-class DispatchLatencyReport:
-    """Makespan + per-hop latency breakdown over the fast-dispatch grid.
-
-    Answers the question PR 3's retire sweep raised: once retirement is
-    pipelined the hazard-dense machine is *latency-bound* — ~90 ns per
-    dependence-chain hop over a chain hundreds of hops deep — so the
-    lever is no longer more bandwidth anywhere but a shorter hop.  Each
-    swept point toggles the fast-dispatch features (TD prefetch cache
-    entries, kick-off fast path); the rows carry the critical-chain hop
-    decomposition (resolve / forward / td_transfer / start) so the report
-    shows *which* serial component each feature removed.  Speedups are
-    measured against the both-off run when present, else the first point.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    points: List[tuple[int, bool]]  # (td_cache_entries, kickoff_fast_path)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[int, bool]:
-        return (0, False) if (0, False) in self.points else self.points[0]
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, td_cache: int, fast_path: bool) -> RunResult:
-        return self.runs[self.points.index((td_cache, fast_path))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (td_cache, fast_path), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            dispatch = run.stats.get("dispatch", {})
-            sub = dispatch.get("fast_dispatch", {})
-            cache = sub.get("td_cache", {})
-            shard_info = run.stats.get("shards", {})
-            out.append(
-                {
-                    "td_cache": td_cache,
-                    "fast_path": fast_path,
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "chain_depth": dispatch.get("chain_depth", 0),
-                    "chain_fraction": dispatch.get("chain_fraction", 0.0),
-                    "chain_hop_ns": dispatch.get("chain_hop_ns", {}),
-                    "dominant_chain_component": dispatch.get(
-                        "dominant_chain_component"
-                    ),
-                    "td_cache_hit_rate": (
-                        round(cache["hit_rate"], 4) if cache else None
-                    ),
-                    "fast_dispatches": sub.get("fast_dispatches", 0),
-                    "steals": shard_info.get("steals", 0),
-                    "steals_after_forward": shard_info.get(
-                        "steals_after_forward", 0
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "baseline": {
-                "td_cache": self.baseline_point[0],
-                "fast_path": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def dispatch_latency_sweep(
-    trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    td_cache: int = 64,
-    points: Optional[Sequence[tuple[int, bool]]] = None,
-) -> DispatchLatencyReport:
-    """Run ``trace`` over the fast-dispatch feature grid.
-
-    The default grid is the four-point ablation — (cache off, fast path
-    off) baseline, each feature alone, both together — with ``td_cache``
-    entries per shard at the cache-on points.  ``config`` must use the
-    sharded Maestro engine (the subsystem lives in its per-shard blocks);
-    everything but the two dispatch knobs is held fixed, so the curve
-    isolates the subsystem.
-    """
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
+def _point_config(
+    fields: Dict[str, Any], knobs: Sequence[str], point: tuple
+) -> SystemConfig:
+    """The machine at one grid point: the base fields, the point's
+    overrides and the knobs those overrides drag along."""
+    over = dict(zip(knobs, point))
+    for limit, window in _COALESCE_WINDOWS:
+        if limit in over and window not in over and over[limit] <= 1:
+            over[window] = 0
+    if "task_pool_entries" in over and "tp_free_list_entries" not in over:
+        # The free-index list must hold every Task Pool index.
+        over["tp_free_list_entries"] = max(
+            over["task_pool_entries"], fields["tp_free_list_entries"]
+        )
+    where = ", ".join(f"{k}={v!r}" for k, v in zip(knobs, point))
+    try:
+        cfg = SystemConfig(**{**fields, **over})
+    except ValueError as exc:
+        raise ValueError(f"grid point {where}: {exc}") from None
+    per_shard = cfg.dependence_table_entries_per_shard
+    if "dependence_table_entries" in over and cfg.use_sharded_maestro and per_shard:
+        # Shard slices are sized by the override; the total changes nothing.
         raise ValueError(
-            "dispatch_latency_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
+            f"grid point {where}: sweeping dependence_table_entries has no "
+            f"effect beside dependence_table_entries_per_shard={per_shard}; "
+            "sweep the per-shard size, or clear it so it derives from the total"
         )
+    return cfg
+
+
+def grid_configs(
+    base: Union[SystemConfig, Mapping[str, Any], None],
+    axes: Mapping[str, Sequence[Any]],
+    points: Optional[Sequence[Sequence[Any]]] = None,
+) -> tuple[List[tuple], List[SystemConfig]]:
+    """Validate a grid and build its machines without running any.
+
+    Returns ``(points, configs)``.  ``base`` is a :class:`SystemConfig`
+    or a mapping of overrides to the defaults; a mapping need only be
+    valid once each point's axes are applied (``retire_pipeline_depth=2``
+    beside a ``maestro_shards`` axis of sharded counts).  Raises
+    ``ValueError`` naming the first invalid point.
+    """
+    if not axes or any(len(values) == 0 for values in axes.values()):
+        raise ValueError("a grid needs at least one axis, each with a value")
+    if isinstance(base, SystemConfig):
+        fields = dict(vars(base))
+    else:
+        fields = {**vars(SystemConfig()), **(base or {})}
+    unknown = [k for k in axes if k not in fields or k == "notes"]
+    if unknown:
+        raise ValueError(f"cannot sweep {unknown}: not SystemConfig knobs")
+    knobs = list(axes)
     if points is None:
-        points = [(0, False), (td_cache, False), (0, True), (td_cache, True)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (td_cache, fast_path) point")
-    runs = [
-        NexusMachine(
-            base.with_(td_cache_entries=c, kickoff_fast_path=f)
-        ).run(trace)
-        for c, f in points
-    ]
-    return DispatchLatencyReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        points=points,
-        runs=runs,
-    )
+        points = list(itertools.product(*axes.values()))
+    points = [tuple(p) for p in points]
+    for p in points:
+        if len(p) != len(knobs) or any(v not in axes[k] for k, v in zip(knobs, p)):
+            raise ValueError(f"grid point {p} does not match the axes {knobs}")
+    if len(set(points)) != len(points):
+        raise ValueError(f"grid repeats a point: {points}")
+    return points, [_point_config(fields, knobs, p) for p in points]
 
 
 @dataclass
-class ResolveScalingReport:
-    """Makespan + resolve-hop breakdown over the staged-resolve grid.
+class GridReport:
+    """One run per grid point, with speedups against one baseline point.
 
-    Answers the question PR 4's dispatch sweep raised: with the dispatch
-    path cut, the remaining hop component is *resolve* — finish notify,
-    finish-engine queueing and the waiter kick — so the lever is the
-    staged resolve pipeline.  Each swept point toggles the two resolve
-    knobs (finish-notification coalescing, speculative kick-off); the
-    rows carry the critical-chain hop decomposition plus the coalescing
-    counters (batch shape, row-merge rate, speculative kicks) so the
-    report shows *how* each knob earned its cut.  Speedups are measured
-    against the both-off run when present, else the first point.
+    ``axes`` maps each swept knob to its values; ``points`` lists the run
+    order (coordinates in axis order); ``columns`` names the
+    :data:`COLUMNS` each row carries after the point's coordinates.
     """
 
     trace_name: str
-    workers: int
-    shards: int
-    window: int  #: coalesce window (ps) applied at the coalesce-on points
-    points: List[tuple[int, bool]]  # (finish_coalesce_limit, speculative)
+    axes: Dict[str, List[Any]]
+    points: List[tuple]
+    baseline: tuple
+    columns: List[str]
+    configs: List[SystemConfig]
     runs: List[RunResult] = field(default_factory=list)
 
+    def at(self, **point: Any) -> RunResult:
+        """The run at one point, every axis named: ``at(maestro_shards=2)``."""
+        if set(point) != set(self.axes):
+            raise KeyError(f"a grid point names every axis: {list(self.axes)}")
+        return self.runs[self.points.index(tuple(point[k] for k in self.axes))]
+
     @property
-    def baseline_point(self) -> tuple[int, bool]:
-        return (1, False) if (1, False) in self.points else self.points[0]
+    def baseline_run(self) -> RunResult:
+        return self.runs[self.points.index(self.baseline)]
 
     @property
     def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
+        base = self.baseline_run.makespan
+        return [base / r.makespan for r in self.runs]
 
-    def at(self, coalesce: int, speculative: bool) -> RunResult:
-        return self.runs[self.points.index((coalesce, speculative))]
+    def keys(self) -> List[str]:
+        """Row keys: one per axis (its short label) then one per column."""
+        names = list(self.axes) + list(self.columns)
+        short = [AXIS_LABELS.get(k, k) for k in self.axes] + [
+            c.rpartition(".")[2] for c in self.columns
+        ]
+        return [s if short.count(s) == 1 else n for n, s in zip(names, short)]
 
     def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (coalesce, speculative), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            dispatch = run.stats.get("dispatch", {})
-            resolve = run.stats.get("resolve", {})
-            util = run.stats.get("maestro_utilization", {})
-            out.append(
-                {
-                    "coalesce": coalesce,
-                    "speculative": speculative,
-                    "window_ps": resolve.get("coalesce_window_ps", 0),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "chain_depth": dispatch.get("chain_depth", 0),
-                    "chain_fraction": dispatch.get("chain_fraction", 0.0),
-                    "chain_hop_ns": dispatch.get("chain_hop_ns", {}),
-                    "dominant_chain_component": dispatch.get(
-                        "dominant_chain_component"
-                    ),
-                    "mean_batch": round(resolve.get("mean_batch", 0.0), 4),
-                    "coalesce_rate": round(resolve.get("coalesce_rate", 0.0), 4),
-                    "row_merges": resolve.get("row_merges", 0),
-                    "speculative_kicks": resolve.get("speculative_kicks", 0),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                }
-            )
-        return out
+        """One row per point: its coordinates, then every column."""
+        keys, base = self.keys(), self.baseline_run
+        return [
+            dict(zip(keys, point + tuple(COLUMNS[c].extract(run, base) for c in self.columns)))
+            for point, run in zip(self.points, self.runs)
+        ]
+
+    def render(self, title: Optional[str] = None) -> str:
+        """The rows as an aligned table, each column in its own format."""
+        keys = self.keys()
+        n = len(self.axes)
+        fmts = [_cell] * n + [COLUMNS[c].fmt for c in self.columns]
+        headers = keys[:n] + [COLUMNS[c].header for c in self.columns]
+        body = [[fmt(row[k]) for fmt, k in zip(fmts, keys)] for row in self.rows()]
+        base = ", ".join(f"{k}={_cell(v)}" for k, v in zip(keys, self.baseline))
+        return render_table(headers, body, f"{title or self.trace_name}; speedup vs {base}")
 
     def to_json_dict(self, profile: bool = False) -> dict:
         rows = self.rows()
         if profile:
-            _attach_profiles(rows, self.runs)
+            # Each point's host-kernel profile: the sweep JSON analogue
+            # of ``run --profile``.
+            for row, run in zip(rows, self.runs):
+                row["sim"] = run.stats.get("sim")
+        cfg = self.configs[0]
+        fixed = {
+            key: getattr(cfg, knob)
+            for key, knob in (("workers", "workers"), ("shards", "maestro_shards"))
+            if knob not in self.axes
+        }
         return {
             "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "window_ps": self.window,
-            "baseline": {
-                "coalesce": self.baseline_point[0],
-                "speculative": self.baseline_point[1],
-            },
+            **fixed,
+            "baseline": dict(zip(self.keys(), self.baseline)),
             "rows": rows,
         }
 
 
-def resolve_scaling_sweep(
+def _cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return format_value(value)
+
+
+def grid_sweep(
     trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    coalesce: int = 8,
-    window: int = 0,
-    points: Optional[Sequence[tuple[int, bool]]] = None,
-) -> ResolveScalingReport:
-    """Run ``trace`` over the staged-resolve feature grid.
+    base: Union[SystemConfig, Mapping[str, Any], None],
+    axes: Mapping[str, Sequence[Any]],
+    points: Optional[Sequence[Sequence[Any]]] = None,
+    baseline: Optional[Mapping[str, Any]] = None,
+    columns: Optional[Sequence[str]] = None,
+) -> GridReport:
+    """Run ``trace`` once per grid point and report each against a baseline.
 
-    The default grid is the four-point ablation — (coalescing off,
-    speculative off) baseline, each knob alone, both together — with a
-    batch limit of ``coalesce`` (and ``window`` picoseconds of straggler
-    wait) at the coalescing-on points.  Unlike the retire and dispatch
-    sweeps this one runs on *either* engine: the staged resolve pipeline
-    is shared, so a single-Maestro config sweeps its Handle Finished
-    loop the same way.  Everything but the two resolve knobs is held
-    fixed, so the curve isolates the pipeline.
+    ``axes`` maps SystemConfig knobs to the values to sweep; the grid is
+    their cartesian product (first axis slowest) unless ``points`` lists
+    the coordinates to run, in order.  Every point applies its overrides
+    to ``base`` (see :func:`grid_configs`), plus two coupled rules: a
+    coalescing window is zeroed at points whose batch limit is 1, and the
+    Task Pool free list grows with a swept ``task_pool_entries``.
+
+    The baseline is ``baseline`` (a ``{knob: value}`` point) when given,
+    else the grid's smallest point — every axis at its lowest value, the
+    one-unit, features-off machine.  ``columns`` names the :data:`COLUMNS`
+    each row carries (default: :func:`default_columns` for the axes).
     """
-    base = config or SystemConfig()
-    if coalesce < 2:
-        raise ValueError("coalesce must be >= 2 (the coalescing-on batch limit)")
-    if points is None:
-        points = [(1, False), (coalesce, False), (1, True), (coalesce, True)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (coalesce, speculative) point")
-    runs = [
-        NexusMachine(
-            base.with_(
-                finish_coalesce_limit=c,
-                finish_coalesce_window=window if c > 1 else 0,
-                speculative_kickoff=s,
-            )
-        ).run(trace)
-        for c, s in points
-    ]
-    return ResolveScalingReport(
+    points, configs = grid_configs(base, axes, points)
+    axes = {k: list(v) for k, v in axes.items()}
+    if baseline is None:
+        base_point = min(points, key=lambda p: [(v is not None, v) for v in p])
+    else:
+        base_point = tuple(baseline.get(k) for k in axes)
+        if set(baseline) != set(axes) or base_point not in points:
+            raise ValueError(f"baseline {dict(baseline)} is not a grid point")
+    columns = list(default_columns(list(axes)) if columns is None else columns)
+    unknown = [c for c in columns if c not in COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown columns {unknown}; try: {', '.join(COLUMNS)}")
+    return GridReport(
         trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        window=window,
+        axes=axes,
         points=points,
-        runs=runs,
-    )
-
-
-@dataclass
-class CheckScalingReport:
-    """Makespan + check-path occupancy over the decentralized-check grid.
-
-    Answers the question PR 5's resolve sweep raised: with the resolve
-    path staged, the central Check Scatter sequencer is the last block
-    every probe still funnels through (>80% busy on the widened
-    front-end) — so the levers are the decentralized scatter (per-master
-    slices re-sequenced per destination shard) and check-side coalescing
-    (same-row probes of one batch merged into a single Dependence Table
-    row access).  Each swept point toggles the two check knobs; the rows
-    carry the scatter occupancy (central sequencer or busiest slice),
-    the busiest check engine and the coalescing counters so the report
-    shows *how* each knob earned its cut.  Speedups are measured against
-    the both-off run when present, else the first point.
-    """
-
-    trace_name: str
-    workers: int
-    shards: int
-    window: int  #: check coalesce window (ps) applied at coalesce-on points
-    points: List[tuple[bool, int]]  # (decentralized, check_coalesce_limit)
-    runs: List[RunResult] = field(default_factory=list)
-
-    @property
-    def baseline_point(self) -> tuple[bool, int]:
-        return (False, 1) if (False, 1) in self.points else self.points[0]
-
-    @property
-    def speedups(self) -> List[float]:
-        base = self.runs[self.points.index(self.baseline_point)]
-        return [base.makespan / r.makespan for r in self.runs]
-
-    def at(self, decentralized: bool, coalesce: int) -> RunResult:
-        return self.runs[self.points.index((decentralized, coalesce))]
-
-    def rows(self) -> List[dict]:
-        """One report row per swept point (used by the CLI and the bench)."""
-        out = []
-        for (decentralized, coalesce), run, speedup in zip(
-            self.points, self.runs, self.speedups
-        ):
-            util = run.stats.get("maestro_utilization", {})
-            check = run.stats.get("check", {})
-            # The scatter block's occupancy: the central sequencer when
-            # it runs, else the busiest per-master slice engine.
-            scatter = {
-                k: v
-                for k, v in util.items()
-                if k == "scatter" or k.endswith(".scatter")
-            }
-            checks = {k: v for k, v in util.items() if k.endswith(".check")}
-            out.append(
-                {
-                    "decentralized": decentralized,
-                    "coalesce": coalesce,
-                    "window_ps": check.get("coalesce_window_ps", 0),
-                    "makespan_ps": run.makespan,
-                    "speedup_vs_baseline": round(speedup, 4),
-                    "scatter_busy": (
-                        round(max(scatter.values()), 4) if scatter else None
-                    ),
-                    "check_engine_busy": (
-                        round(max(checks.values()), 4) if checks else None
-                    ),
-                    "mean_batch": round(check.get("mean_batch", 0.0), 4),
-                    "coalesce_rate": round(check.get("coalesce_rate", 0.0), 4),
-                    "row_merges": check.get("row_merges", 0),
-                    "reseq_max_held": max(
-                        check.get("reseq_max_held") or [0]
-                    ),
-                    "busiest_maestro_block": (
-                        max(util, key=util.get) if util else None
-                    ),
-                }
-            )
-        return out
-
-    def to_json_dict(self, profile: bool = False) -> dict:
-        rows = self.rows()
-        if profile:
-            _attach_profiles(rows, self.runs)
-        return {
-            "trace": self.trace_name,
-            "workers": self.workers,
-            "shards": self.shards,
-            "window_ps": self.window,
-            "baseline": {
-                "decentralized": self.baseline_point[0],
-                "coalesce": self.baseline_point[1],
-            },
-            "rows": rows,
-        }
-
-
-def check_scaling_sweep(
-    trace: TaskTrace,
-    config: Optional[SystemConfig] = None,
-    coalesce: int = 8,
-    window: int = 0,
-    points: Optional[Sequence[tuple[bool, int]]] = None,
-) -> CheckScalingReport:
-    """Run ``trace`` over the decentralized-check feature grid.
-
-    The default grid is the four-point ablation — (central scatter,
-    coalescing off) baseline, each knob alone, both together — with a
-    batch limit of ``coalesce`` (and ``window`` picoseconds of straggler
-    wait) at the coalescing-on points.  ``config`` must use the sharded
-    Maestro engine — the scatter slices and check engines are its
-    per-shard/per-master blocks; the single Maestro has no scatter to
-    decentralize.  Everything but the two check knobs is held fixed, so
-    the curve isolates the check path.
-    """
-    base = config or SystemConfig()
-    if not base.use_sharded_maestro:
-        raise ValueError(
-            "check_scaling_sweep needs the sharded Maestro engine: set "
-            "maestro_shards > 1 (or force_sharded_maestro) on the config"
-        )
-    if coalesce < 2:
-        raise ValueError("coalesce must be >= 2 (the coalescing-on batch limit)")
-    if points is None:
-        points = [(False, 1), (True, 1), (False, coalesce), (True, coalesce)]
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one (decentralized, coalesce) point")
-    runs = [
-        NexusMachine(
-            base.with_(
-                decentralized_check_scatter=d,
-                check_coalesce_limit=c,
-                check_coalesce_window=window if c > 1 else 0,
-            )
-        ).run(trace)
-        for d, c in points
-    ]
-    return CheckScalingReport(
-        trace_name=trace.name,
-        workers=base.workers,
-        shards=base.maestro_shards,
-        window=window,
-        points=points,
-        runs=runs,
+        baseline=base_point,
+        columns=columns,
+        configs=configs,
+        runs=[NexusMachine(cfg).run(trace) for cfg in configs],
     )
 
 
@@ -833,36 +639,15 @@ def sweep_parameter(
 ) -> Dict[Any, Any]:
     """Run the trace once per parameter value; returns ``{value: extracted}``.
 
-    Used by the Fig. 6 design-space exploration (Dependence Table / Task
-    Pool sizes).  ``extract`` defaults to the whole :class:`RunResult`.
+    A one-axis :func:`grid_sweep`, used by the Fig. 6 design-space
+    exploration (Dependence Table / Task Pool sizes).  ``extract``
+    defaults to the whole :class:`RunResult`.
     """
-    if (
-        parameter == "dependence_table_entries"
-        and base_config.use_sharded_maestro
-        and base_config.dependence_table_entries_per_shard is not None
-    ):
-        # The sharded machine sizes its table slices from the per-shard
-        # override when one is set; sweeping the total would silently
-        # change nothing.
-        raise ValueError(
-            "sweeping dependence_table_entries has no effect: the sharded "
-            "config sets dependence_table_entries_per_shard="
-            f"{base_config.dependence_table_entries_per_shard}; sweep "
-            "'dependence_table_entries_per_shard' instead, or clear the "
-            "per-shard override so shard capacity derives from the total"
-        )
-    out: Dict[Any, Any] = {}
-    for value in values:
-        overrides: Dict[str, Any] = {parameter: value}
-        if parameter == "task_pool_entries":
-            # Keep the free-index list large enough (config invariant).
-            overrides["tp_free_list_entries"] = max(
-                value, base_config.tp_free_list_entries
-            )
-        cfg = base_config.with_(**overrides)
-        result = NexusMachine(cfg).run(trace)
-        out[value] = extract(result) if extract else result
-    return out
+    report = grid_sweep(trace, base_config, {parameter: list(values)}, columns=())
+    return {
+        point[0]: extract(run) if extract else run
+        for point, run in zip(report.points, report.runs)
+    }
 
 
 @dataclass

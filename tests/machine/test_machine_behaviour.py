@@ -16,6 +16,7 @@ from repro.traces import (
     h264_wavefront_trace,
     horizontal_chains_trace,
     independent_trace,
+    random_trace,
 )
 
 FAST_TIMES = TimeModel(mean_exec=2_000_000, mean_memory=500_000, cv=0.0)
@@ -130,6 +131,51 @@ class TestDependenceTableStall:
         assert (
             run_trace(trace, normal).makespan < run_trace(trace, tiny).makespan
         )
+
+
+class TestPreflightTableCapacity:
+    """A task with more distinct addresses than its Dependence Table (or
+    shard slice) holds is rejected with a named error before simulating,
+    not after a wedge that dumps every parked process."""
+
+    PROBE = dict(n_addresses=64, max_params=8, seed=3, mean_exec=2000, mean_memory=0)
+
+    def test_single_maestro_table_too_small(self):
+        from repro.hw.errors import CapacityError
+
+        trace = random_trace(300, **self.PROBE)
+        cfg = SystemConfig(dependence_table_entries=4, max_params_per_td=8)
+        with pytest.raises(
+            CapacityError,
+            match=r"task 0 needs 7 Dependence Table entries .* the Dependence "
+            r"Table holds 4",
+        ):
+            NexusMachine(cfg).run(trace)
+
+    def test_sharded_slice_too_small(self):
+        from repro.hw.errors import CapacityError
+
+        trace = random_trace(300, **self.PROBE)
+        cfg = SystemConfig(
+            maestro_shards=2, dependence_table_entries_per_shard=2, max_params_per_td=8
+        )
+        with pytest.raises(
+            CapacityError, match=r"task 0 needs 5 .* Maestro shard 0's .* holds 2"
+        ):
+            NexusMachine(cfg).run(trace)
+
+    def test_tight_but_feasible_tables_still_run(self):
+        # Every task fits once its addresses spread over the shards, even
+        # though its parameter count exceeds one slice.
+        trace = random_trace(60, n_addresses=16, max_params=6, seed=5,
+                             mean_exec=2000, mean_memory=0)
+        cfg = SystemConfig(
+            workers=4, maestro_shards=4, dependence_table_entries_per_shard=5,
+            memory_contention=False,
+        )
+        assert max(t.n_params for t in trace) > 5
+        result = run_trace(trace, cfg)
+        assert result.verify_against(build_task_graph(trace)) == []
 
 
 class TestSweepHelpers:

@@ -4,7 +4,7 @@ timing model, truncated-run reporting, and the master-scaling sweep."""
 import pytest
 
 from repro.config import BUS_MODEL_FITTED, SystemConfig, multi_master
-from repro.machine import NexusMachine, master_scaling_sweep, run_trace
+from repro.machine import NexusMachine, grid_sweep, preset_grid, run_trace
 from repro.machine.bottleneck import analyze_bottleneck
 from repro.runtime.task_graph import build_task_graph
 from repro.traces import TimeModel, independent_trace
@@ -183,13 +183,16 @@ class TestMasterScalingSweep:
     def test_sweep_shape_and_baseline(self):
         trace = independent_trace(n_tasks=40, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(workers=2, memory_contention=False)
-        report = master_scaling_sweep(trace, [1, 2], [1, 4], cfg)
+        report = grid_sweep(
+            trace, cfg, **preset_grid("masters", masters=[1, 2], batch=[1, 4])
+        )
         assert report.points == [(1, 1), (1, 4), (2, 1), (2, 4)]
-        assert report.baseline_point == (1, 1)
+        assert report.baseline == (1, 1)
         assert report.speedups[0] == pytest.approx(1.0)
         rows = report.rows()
         assert {r["masters"] for r in rows} == {1, 2}
-        assert report.at(2, 4).makespan == rows[-1]["makespan_ps"]
+        at = report.at(master_cores=2, submission_batch=4)
+        assert at.makespan == rows[-1]["makespan_ps"]
         payload = report.to_json_dict()
         assert payload["baseline"] == {"masters": 1, "batch": 1}
         assert len(payload["rows"]) == 4
@@ -197,6 +200,6 @@ class TestMasterScalingSweep:
     def test_empty_sweep_rejected(self):
         trace = independent_trace(n_tasks=5, n_params=2)
         with pytest.raises(ValueError):
-            master_scaling_sweep(trace, [])
+            grid_sweep(trace, None, **preset_grid("masters", masters=[]))
         with pytest.raises(ValueError):
-            master_scaling_sweep(trace, [1], [])
+            grid_sweep(trace, None, **preset_grid("masters", masters=[1], batch=[]))

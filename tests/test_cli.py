@@ -168,10 +168,18 @@ class TestSubmissionFrontendCli:
         ]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
 
-    def test_master_sweep_rejects_shard_list(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--masters", "1,2",
-                  "--shards", "1,2"])
+    def test_master_sweep_crosses_shard_list(self, capsys, tmp_path):
+        # Two comma lists are two grid axes, crossed (first flag slowest).
+        path = tmp_path / "grid.json"
+        assert main(["sweep", "random", "--tasks", "40", "--masters", "1,2",
+                     "--shards", "1,2", "--json", str(path)]) == 0
+        import json
+
+        data = json.loads(path.read_text())
+        assert [(r["shards"], r["masters"]) for r in data["rows"]] == [
+            (1, 1), (1, 2), (2, 1), (2, 2)
+        ]
+        assert data["baseline"] == {"shards": 1, "masters": 1}
 
     def test_info_shows_frontend_geometry(self, capsys):
         assert main(["info", "--masters", "2", "--batch", "4"]) == 0
@@ -203,7 +211,7 @@ class TestRetirePipelineCli:
 
         data = json.loads(path.read_text())
         assert data["shards"] == 2
-        assert data["baseline_depth"] == 1
+        assert data["baseline"] == {"depth": 1}
         assert [r["depth"] for r in data["rows"]] == [1, 4]
         assert [r["task_pool_ports"] for r in data["rows"]] == [1, 4]
         assert data["rows"][0]["speedup_vs_baseline"] == 1.0
@@ -334,16 +342,13 @@ class TestRetirePipelineCli:
         assert "chain_hop_ns" in data["rows"][0]
         assert "coalesce_rate" in data["rows"][0]
 
+    def test_resolve_sweep_runs_on_single_maestro(self, capsys):
+        # The staged resolve pipeline is shared by both engines, so only
+        # SystemConfig validation decides where the ablation may run.
+        assert main(["sweep", "random", "--tasks", "40", "--resolve"]) == 0
+        assert "spec kicks" in capsys.readouterr().out
+
     def test_resolve_sweep_rejects_bad_usage(self):
-        # Needs a single sharded --shards value.
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "1"])
-        with pytest.raises(SystemExit):
-            main(["sweep", "random", "--tasks", "40", "--resolve",
-                  "--shards", "1,2"])
         # The grid toggles speculation itself; a degenerate batch limit is
         # meaningless.
         with pytest.raises(SystemExit):
@@ -376,10 +381,85 @@ class TestRetirePipelineCli:
 
 
 class TestSweepGridConflicts:
-    def test_resolve_and_dispatch_grids_conflict(self):
-        with pytest.raises(SystemExit, match="different sweep grids"):
-            main(["sweep", "random", "--tasks", "40", "--shards", "2",
-                  "--resolve", "--dispatch"])
+    def test_resolve_and_dispatch_grids_combine(self, capsys, tmp_path):
+        # Two preset ablations cross into one 16-point factorial grid.
+        path = tmp_path / "grid.json"
+        assert main(["sweep", "random", "--tasks", "40", "--shards", "2",
+                     "--resolve", "--dispatch", "--json", str(path)]) == 0
+        import json
+
+        data = json.loads(path.read_text())
+        assert len(data["rows"]) == 16
+        assert data["baseline"] == {
+            "td_cache": 0, "fast_path": False, "coalesce": 1, "speculative": False,
+        }
+
+
+class TestGridSweepCli:
+    BASE = ["sweep", "random", "--tasks", "40", "--addresses", "16",
+            "--no-contention"]
+
+    def _json(self, tmp_path, *args):
+        import json
+
+        path = tmp_path / "grid.json"
+        assert main(self.BASE + list(args) + ["--json", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_grid_axes_cross_in_order(self, capsys, tmp_path):
+        data = self._json(tmp_path, "--grid", "maestro_shards=2,4",
+                          "retire_pipeline_depth=1,2")
+        assert [(r["shards"], r["depth"]) for r in data["rows"]] == [
+            (2, 1), (2, 2), (4, 1), (4, 2)
+        ]
+        assert data["baseline"] == {"shards": 2, "depth": 1}
+        out = capsys.readouterr().out
+        assert "speedup vs shards=2, depth=1" in out
+        assert "pipe full" in out and "x-shard msgs" in out
+
+    def test_cores_list_beside_a_grid_is_the_workers_axis(self, tmp_path):
+        # Regression: a comma list on a flag the sweep did not vary used
+        # to be dropped silently (the shard grid ran at 16 workers).
+        data = self._json(tmp_path, "--shards", "2,4", "--cores", "1,2")
+        assert [(r["workers"], r["shards"]) for r in data["rows"]] == [
+            (1, 2), (1, 4), (2, 2), (2, 4)
+        ]
+        assert "workers" not in data and "shards" not in data
+
+    def test_bool_axis_and_single_flags(self, tmp_path):
+        data = self._json(tmp_path, "--shards", "2", "--workers", "4",
+                          "--grid", "kickoff_fast_path=off,on")
+        assert data["workers"] == 4 and data["shards"] == 2
+        assert [r["fast_path"] for r in data["rows"]] == [False, True]
+
+    def test_comma_list_on_a_trace_parameter_is_a_usage_error(self):
+        with pytest.raises(SystemExit, match="--spin-ns is a trace parameter"):
+            main(["sweep", "random", "--spin-ns", "250,1000",
+                  "--shards", "1,2"])
+        with pytest.raises(SystemExit, match="--efficiency and --cores"):
+            main(["sweep", "wait-chain", "--efficiency", "--cores", "1,2"])
+
+    def test_fixed_flag_on_a_swept_knob_is_a_usage_error(self):
+        with pytest.raises(SystemExit, match="--shards sets maestro_shards"):
+            main(self.BASE + ["--shards", "2",
+                              "--grid", "maestro_shards=2,4"])
+
+    def test_bad_grid_tokens_are_usage_errors(self):
+        with pytest.raises(SystemExit, match="did you mean 'maestro_shards'"):
+            main(self.BASE + ["--grid", "maestro_shard=1,2"])
+        with pytest.raises(SystemExit, match="values must be"):
+            main(self.BASE + ["--grid", "maestro_shards=two"])
+        with pytest.raises(SystemExit, match="KNOB=V1,V2"):
+            main(self.BASE + ["--grid", "shards"])
+
+    def test_infeasible_point_names_the_point(self):
+        with pytest.raises(SystemExit, match="grid point maestro_shards=1"):
+            main(self.BASE + ["--retire-depth", "2", "--grid", "maestro_shards=1,2"])
+
+    def test_bare_grid_integer_is_the_block_grid_side(self, capsys):
+        assert main(["sweep", "jacobi", "--grid", "3", "--iterations", "2",
+                     "--grid", "maestro_shards=1,2", "--no-contention"]) == 0
+        assert "jacobi" in capsys.readouterr().out
 
 
 class TestEfficiencyAndExport:
