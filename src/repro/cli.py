@@ -63,13 +63,12 @@ from .config import SystemConfig
 from .machine import (
     analyze_bottleneck,
     efficiency_sweep,
-    grid_configs,
     grid_sweep,
-    merge_grids,
     preset_grid,
     run_trace,
     speedup_curve,
 )
+from .machine.sweep import GridError, _merge_grids
 from .runtime.task_graph import build_task_graph
 from .traces import (
     TaskTrace,
@@ -580,6 +579,20 @@ def _grid_axis(token: str) -> tuple[str, list]:
         raise SystemExit(f"--grid {token!r}: values must be {kind}") from None
 
 
+class _GridTokens(argparse.Action):
+    """``--grid`` tokens, extended across repeats.  The token list is
+    greedy, so a workload name in it is the positional it swallowed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        stray = [v for v in values if v in WORKLOADS]
+        if stray:
+            parser.error(
+                f"--grid took the workload {stray[0]!r} as a grid token; "
+                "name the workload before --grid"
+            )
+        setattr(namespace, self.dest, (getattr(namespace, self.dest) or []) + values)
+
+
 def _sweep_grids(args: argparse.Namespace) -> list[tuple[str, dict]]:
     """The ``(flag, grid)`` pairs a sweep command line asks for: one axis
     per comma list on a machine flag (a single value stays fixed) and per
@@ -660,15 +673,14 @@ def _grid_sweep(trace: TaskTrace, args: argparse.Namespace, grids: list) -> int:
     fixed = _overrides(args)
     base = {knob: value for knob, (_, value) in fixed.items()}
     try:
-        grid = merge_grids(*grids)
+        grid = _merge_grids(*grids)
         for knob in set(grid["axes"]) & set(fixed):
-            raise ValueError(f"{fixed[knob][0]} sets {knob}, which the grid sweeps")
-        grid_configs(base, grid["axes"], grid["points"])
-    except ValueError as exc:
+            raise SystemExit(f"{fixed[knob][0]} sets {knob}, which the grid sweeps")
+        report = grid_sweep(trace, base, **grid)
+    except GridError as exc:
         # A knob swept twice or an infeasible point (e.g. a sharded-only
         # knob at maestro_shards=1) is a usage error, not a traceback.
         raise SystemExit(str(exc)) from None
-    report = grid_sweep(trace, base, **grid)
     print(report.render())
     _sweep_report_out(args, report, report.runs)
     return 0
@@ -856,11 +868,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_workload_args(p_sweep, grid=False)
     _add_machine_args(p_sweep, lists=True)
     p_sweep.add_argument(
-        "--grid", nargs="+", action="extend", default=None, metavar="KNOB=V1,V2",
+        "--grid", nargs="+", action=_GridTokens, default=None, metavar="KNOB=V1,V2",
         help="sweep a grid of SystemConfig knobs, one axis per token "
         "(values in config units: ps for times, on/off for switches); "
         "speedups are against the smallest point.  A bare integer token is "
-        "the jacobi/spatial block-grid side",
+        "the jacobi/spatial block-grid side.  The token list is greedy: "
+        "name the workload before --grid",
     )
     p_sweep.add_argument(
         "--cores", default=None,

@@ -9,18 +9,12 @@ from .bottleneck import (
 from .machine import NexusMachine, run_trace
 from .results import RunResult, Scoreboard, TaskRecord
 from .sweep import (
-    BASIC_COLUMNS,
-    COLUMNS,
     GRID_PRESETS,
-    Column,
     EfficiencyReport,
     GridReport,
     SpeedupCurve,
-    default_columns,
     efficiency_sweep,
-    grid_configs,
     grid_sweep,
-    merge_grids,
     preset_grid,
     speedup_curve,
     sweep_parameter,
@@ -34,14 +28,8 @@ __all__ = [
     "TaskRecord",
     "SpeedupCurve",
     "speedup_curve",
-    "Column",
-    "COLUMNS",
-    "BASIC_COLUMNS",
     "GRID_PRESETS",
     "preset_grid",
-    "default_columns",
-    "merge_grids",
-    "grid_configs",
     "GridReport",
     "grid_sweep",
     "sweep_parameter",

@@ -24,14 +24,9 @@ from .results import RunResult
 __all__ = [
     "SpeedupCurve",
     "speedup_curve",
-    "Column",
-    "COLUMNS",
-    "BASIC_COLUMNS",
     "GRID_PRESETS",
     "preset_grid",
-    "default_columns",
-    "merge_grids",
-    "grid_configs",
+    "GridError",
     "GridReport",
     "grid_sweep",
     "sweep_parameter",
@@ -116,11 +111,17 @@ def speedup_curve(
 # ---- the grid engine -----------------------------------------------------------------
 # Every scaling study is one loop: vary SystemConfig knobs over a grid, run
 # each point, report its speedup over one baseline point beside per-run
-# statistics from the one COLUMNS registry.  Studies are GRID_PRESETS.
+# statistics from the one column registry.  Studies are GRID_PRESETS.
+
+
+class GridError(ValueError):
+    """A grid that cannot run: an unknown knob or column, a repeated or
+    infeasible point, or two row keys that would clash.  Raised before
+    any point runs."""
 
 
 @dataclass(frozen=True)
-class Column:
+class _Column:
     """One named per-run statistic: how to read it and how to print it.
 
     ``extract(run, baseline_run)`` returns the JSON value stored in a
@@ -191,49 +192,48 @@ def _hops(hops: Dict[str, float]) -> str:
     return "/".join(f"{hops.get(c, 0.0):.0f}" for c in parts)
 
 
-def _batch_columns(stage: str) -> Dict[str, Column]:
+def _batch_columns(stage: str) -> Dict[str, _Column]:
     """The batch-shape counters the resolve and check pipelines share."""
     rounded = {"default": 0.0, "digits": 4}
     return {
-        f"{stage}.window_ps": Column("window ps", _stat(stage, "coalesce_window_ps")),
-        f"{stage}.mean_batch": Column(
+        f"{stage}.window_ps": _Column("window ps", _stat(stage, "coalesce_window_ps")),
+        f"{stage}.mean_batch": _Column(
             "mean batch", _stat(stage, "mean_batch", **rounded), _2f
         ),
-        f"{stage}.coalesce_rate": Column(
+        f"{stage}.coalesce_rate": _Column(
             "merge rate", _stat(stage, "coalesce_rate", **rounded), _pct
         ),
-        f"{stage}.row_merges": Column("row merges", _stat(stage, "row_merges")),
+        f"{stage}.row_merges": _Column("row merges", _stat(stage, "row_merges")),
     }
 
 
 #: Every statistic a grid report can carry, by name.  A row stores a
 #: column under the part of its name after the last dot
-#: (``resolve.mean_batch`` -> ``mean_batch``) unless two selected columns
-#: share that short key, in which case both keep their full names.
-COLUMNS: Dict[str, Column] = {
-    "makespan_ps": Column("makespan (us)", lambda r, b: r.makespan, _us),
-    "speedup_vs_baseline": Column(
+#: (``resolve.mean_batch`` -> ``mean_batch``), whatever else the grid holds.
+_COLUMNS: Dict[str, _Column] = {
+    "makespan_ps": _Column("makespan (us)", lambda r, b: r.makespan, _us),
+    "speedup_vs_baseline": _Column(
         "speedup", lambda r, b: round(b.makespan / r.makespan, 4), _2f
     ),
-    "busiest_maestro_block": Column("busiest block", _busiest),
-    "busiest_block_utilization": Column("block util", _busy(lambda k: True), _pct),
-    "interconnect_messages": Column(
+    "busiest_maestro_block": _Column("busiest block", _busiest),
+    "busiest_block_utilization": _Column("block util", _busy(lambda k: True), _pct),
+    "interconnect_messages": _Column(
         "icn msgs", _stat("shards", "interconnect", "messages")
     ),
-    "cross_shard_messages": Column(
+    "cross_shard_messages": _Column(
         "x-shard msgs", _stat("shards", "interconnect", "cross_shard_messages")
     ),
-    "steals": Column("steals", _stat("shards", "steals")),
-    "steals_after_forward": Column(
+    "steals": _Column("steals", _stat("shards", "steals")),
+    "steals_after_forward": _Column(
         "fwd steals", _stat("shards", "steals_after_forward")
     ),
-    "master_done_ps": Column("master done (us)", lambda r, b: r.master_done, _us),
-    "master_bound_fraction": Column("master-bound", _master_bound, _pct),
-    "master_stall_ps": Column("master stall ps", _stat("master_stall_ps")),
-    "retire.task_pool_ports": Column(
+    "master_done_ps": _Column("master done (us)", lambda r, b: r.master_done, _us),
+    "master_bound_fraction": _Column("master-bound", _master_bound, _pct),
+    "master_stall_ps": _Column("master stall ps", _stat("master_stall_ps")),
+    "retire.task_pool_ports": _Column(
         "TP ports", lambda r, b: r.config_notes.get("task_pool_ports")
     ),
-    "retire_inflight_mean": Column(
+    "retire_inflight_mean": _Column(
         "mean in-flight",
         _per_shard(
             lambda v: round(sum(v) / len(v), 4), "shards", "retire", "inflight_mean",
@@ -241,10 +241,10 @@ COLUMNS: Dict[str, Column] = {
         ),
         _2f,
     ),
-    "retire_inflight_max": Column(
+    "retire_inflight_max": _Column(
         "max in-flight", _per_shard(max, "shards", "retire", "inflight_max")
     ),
-    "retire_full_fraction": Column(
+    "retire_full_fraction": _Column(
         "pipe full",
         _per_shard(
             lambda v: round(max(v), 4), "shards", "retire", "full_fraction",
@@ -252,46 +252,47 @@ COLUMNS: Dict[str, Column] = {
         ),
         _pct,
     ),
-    "chain_depth": Column("chain depth", _stat("dispatch", "chain_depth")),
-    "chain_fraction": Column(
+    "chain_depth": _Column("chain depth", _stat("dispatch", "chain_depth")),
+    "chain_fraction": _Column(
         "chain frac", _stat("dispatch", "chain_fraction", default=0.0), _pct
     ),
-    "chain_hop_ns": Column(
+    "chain_hop_ns": _Column(
         "resolve/fwd/TD/start", _stat("dispatch", "chain_hop_ns", default={}), _hops
     ),
-    "dominant_chain_component": Column(
+    "dominant_chain_component": _Column(
         "dominant hop", _stat("dispatch", "dominant_chain_component", default=None)
     ),
-    "td_cache_hit_rate": Column(
+    "td_cache_hit_rate": _Column(
         "cache hits",
         _stat(
             "dispatch", "fast_dispatch", "td_cache", "hit_rate", default=None, digits=4
         ),
         _pct,
     ),
-    "fast_dispatches": Column(
+    "fast_dispatches": _Column(
         "fast dispatches", _stat("dispatch", "fast_dispatch", "fast_dispatches")
     ),
-    "speculative_kicks": Column("spec kicks", _stat("resolve", "speculative_kicks")),
+    "speculative_kicks": _Column("spec kicks", _stat("resolve", "speculative_kicks")),
     # The scatter block's occupancy: the central sequencer when it runs,
     # else the busiest per-master slice engine.
-    "scatter_busy": Column(
+    "scatter_busy": _Column(
         "scatter busy",
         _busy(lambda k: k == "scatter" or k.endswith(".scatter")),
         _pct,
     ),
-    "check_engine_busy": Column(
+    "check_engine_busy": _Column(
         "check busy", _busy(lambda k: k.endswith(".check")), _pct
     ),
-    "reseq_max_held": Column(
+    "reseq_max_held": _Column(
         "reseq held", _per_shard(max, "check", "reseq_max_held")
     ),
     **_batch_columns("resolve"),
     **_batch_columns("check"),
 }
 #: Short row keys for the knobs the presets sweep; any other knob is
-#: reported under its own field name.
-AXIS_LABELS = {
+#: reported under its own field name.  A grid whose row keys would clash
+#: (the resolve and check ablations both report ``coalesce``) is rejected.
+_AXIS_LABELS = {
     "maestro_shards": "shards",
     "master_cores": "masters",
     "submission_batch": "batch",
@@ -329,7 +330,7 @@ _CHAIN = ("chain_depth", "chain_fraction", "chain_hop_ns", "dominant_chain_compo
 
 #: The columns a grid reports when neither ``columns`` nor a preset
 #: covering one of its axes says otherwise.
-BASIC_COLUMNS = _RUN + _BUSIEST
+_BASIC_COLUMNS = _RUN + _BUSIEST
 
 #: Named grids, one per scaling study the benches pin.  Each maker
 #: returns ``grid_sweep`` keyword arguments (``axes``, optional
@@ -406,28 +407,28 @@ _KNOB_COLUMNS: Dict[str, tuple] = {
 }
 
 
-def default_columns(axes: Sequence[str]) -> List[str]:
+def _default_columns(axes: Sequence[str]) -> List[str]:
     """The columns of every preset that sweeps one of ``axes`` (in axis
-    order, duplicates dropped), or :data:`BASIC_COLUMNS` for none."""
-    cols = [c for knob in axes for c in _KNOB_COLUMNS.get(knob, BASIC_COLUMNS)]
+    order, duplicates dropped), or :data:`_BASIC_COLUMNS` for none."""
+    cols = [c for knob in axes for c in _KNOB_COLUMNS.get(knob, _BASIC_COLUMNS)]
     return list(dict.fromkeys(cols))
 
 
-def merge_grids(*grids: Mapping[str, Any]) -> Dict[str, Any]:
+def _merge_grids(*grids: Mapping[str, Any]) -> Dict[str, Any]:
     """Cross several grids (each ``axes`` plus optional ``points`` and
     ``columns``) into one: the earlier grid's points vary slowest."""
     axes: Dict[str, List[Any]] = {}
     for grid in grids:
         for knob, values in grid["axes"].items():
             if knob in axes:
-                raise ValueError(f"{knob} is swept by two grids")
+                raise GridError(f"{knob} is swept by two grids")
             axes[knob] = list(values)
     blocks = [
         grid.get("points") or list(itertools.product(*grid["axes"].values()))
         for grid in grids
     ]
     columns = [
-        c for grid in grids for c in grid.get("columns") or default_columns(grid["axes"])
+        c for grid in grids for c in grid.get("columns") or _default_columns(grid["axes"])
     ]
     return {
         "axes": axes,
@@ -454,50 +455,16 @@ def _point_config(
     try:
         cfg = SystemConfig(**{**fields, **over})
     except ValueError as exc:
-        raise ValueError(f"grid point {where}: {exc}") from None
+        raise GridError(f"grid point {where}: {exc}") from None
     per_shard = cfg.dependence_table_entries_per_shard
     if "dependence_table_entries" in over and cfg.use_sharded_maestro and per_shard:
         # Shard slices are sized by the override; the total changes nothing.
-        raise ValueError(
+        raise GridError(
             f"grid point {where}: sweeping dependence_table_entries has no "
             f"effect beside dependence_table_entries_per_shard={per_shard}; "
             "sweep the per-shard size, or clear it so it derives from the total"
         )
     return cfg
-
-
-def grid_configs(
-    base: Union[SystemConfig, Mapping[str, Any], None],
-    axes: Mapping[str, Sequence[Any]],
-    points: Optional[Sequence[Sequence[Any]]] = None,
-) -> tuple[List[tuple], List[SystemConfig]]:
-    """Validate a grid and build its machines without running any.
-
-    Returns ``(points, configs)``.  ``base`` is a :class:`SystemConfig`
-    or a mapping of overrides to the defaults; a mapping need only be
-    valid once each point's axes are applied (``retire_pipeline_depth=2``
-    beside a ``maestro_shards`` axis of sharded counts).  Raises
-    ``ValueError`` naming the first invalid point.
-    """
-    if not axes or any(len(values) == 0 for values in axes.values()):
-        raise ValueError("a grid needs at least one axis, each with a value")
-    if isinstance(base, SystemConfig):
-        fields = dict(vars(base))
-    else:
-        fields = {**vars(SystemConfig()), **(base or {})}
-    unknown = [k for k in axes if k not in fields or k == "notes"]
-    if unknown:
-        raise ValueError(f"cannot sweep {unknown}: not SystemConfig knobs")
-    knobs = list(axes)
-    if points is None:
-        points = list(itertools.product(*axes.values()))
-    points = [tuple(p) for p in points]
-    for p in points:
-        if len(p) != len(knobs) or any(v not in axes[k] for k, v in zip(knobs, p)):
-            raise ValueError(f"grid point {p} does not match the axes {knobs}")
-    if len(set(points)) != len(points):
-        raise ValueError(f"grid repeats a point: {points}")
-    return points, [_point_config(fields, knobs, p) for p in points]
 
 
 @dataclass
@@ -506,7 +473,7 @@ class GridReport:
 
     ``axes`` maps each swept knob to its values; ``points`` lists the run
     order (coordinates in axis order); ``columns`` names the
-    :data:`COLUMNS` each row carries after the point's coordinates.
+    columns each row carries after the point's coordinates.
     """
 
     trace_name: str
@@ -534,17 +501,15 @@ class GridReport:
 
     def keys(self) -> List[str]:
         """Row keys: one per axis (its short label) then one per column."""
-        names = list(self.axes) + list(self.columns)
-        short = [AXIS_LABELS.get(k, k) for k in self.axes] + [
+        return [_AXIS_LABELS.get(k, k) for k in self.axes] + [
             c.rpartition(".")[2] for c in self.columns
         ]
-        return [s if short.count(s) == 1 else n for n, s in zip(names, short)]
 
     def rows(self) -> List[dict]:
         """One row per point: its coordinates, then every column."""
         keys, base = self.keys(), self.baseline_run
         return [
-            dict(zip(keys, point + tuple(COLUMNS[c].extract(run, base) for c in self.columns)))
+            dict(zip(keys, point + tuple(_COLUMNS[c].extract(run, base) for c in self.columns)))
             for point, run in zip(self.points, self.runs)
         ]
 
@@ -552,8 +517,8 @@ class GridReport:
         """The rows as an aligned table, each column in its own format."""
         keys = self.keys()
         n = len(self.axes)
-        fmts = [_cell] * n + [COLUMNS[c].fmt for c in self.columns]
-        headers = keys[:n] + [COLUMNS[c].header for c in self.columns]
+        fmts = [_cell] * n + [_COLUMNS[c].fmt for c in self.columns]
+        headers = keys[:n] + [_COLUMNS[c].header for c in self.columns]
         body = [[fmt(row[k]) for fmt, k in zip(fmts, keys)] for row in self.rows()]
         base = ", ".join(f"{k}={_cell(v)}" for k, v in zip(keys, self.baseline))
         return render_table(headers, body, f"{title or self.trace_name}; speedup vs {base}")
@@ -590,7 +555,6 @@ def grid_sweep(
     base: Union[SystemConfig, Mapping[str, Any], None],
     axes: Mapping[str, Sequence[Any]],
     points: Optional[Sequence[Sequence[Any]]] = None,
-    baseline: Optional[Mapping[str, Any]] = None,
     columns: Optional[Sequence[str]] = None,
 ) -> GridReport:
     """Run ``trace`` once per grid point and report each against a baseline.
@@ -598,36 +562,58 @@ def grid_sweep(
     ``axes`` maps SystemConfig knobs to the values to sweep; the grid is
     their cartesian product (first axis slowest) unless ``points`` lists
     the coordinates to run, in order.  Every point applies its overrides
-    to ``base`` (see :func:`grid_configs`), plus two coupled rules: a
-    coalescing window is zeroed at points whose batch limit is 1, and the
-    Task Pool free list grows with a swept ``task_pool_entries``.
+    to ``base`` -- a :class:`SystemConfig`, or a mapping of overrides to
+    the defaults that need only be valid once each point's axes are
+    applied -- plus two coupled rules: a coalescing window is zeroed at
+    points whose batch limit is 1, and the Task Pool free list grows with
+    a swept ``task_pool_entries``.
 
-    The baseline is ``baseline`` (a ``{knob: value}`` point) when given,
-    else the grid's smallest point — every axis at its lowest value, the
-    one-unit, features-off machine.  ``columns`` names the :data:`COLUMNS`
-    each row carries (default: :func:`default_columns` for the axes).
+    The baseline is the grid's smallest point: every axis at its lowest
+    value, the one-unit, features-off machine.  ``columns`` names the
+    registered statistics each row carries (default: the columns of every
+    preset sweeping one of the axes).  The whole grid is validated before
+    any point runs; a bad grid raises :class:`GridError`.
     """
-    points, configs = grid_configs(base, axes, points)
-    axes = {k: list(v) for k, v in axes.items()}
-    if baseline is None:
-        base_point = min(points, key=lambda p: [(v is not None, v) for v in p])
+    if not axes or any(len(values) == 0 for values in axes.values()):
+        raise GridError("a grid needs at least one axis, each with a value")
+    if isinstance(base, SystemConfig):
+        fields = dict(vars(base))
     else:
-        base_point = tuple(baseline.get(k) for k in axes)
-        if set(baseline) != set(axes) or base_point not in points:
-            raise ValueError(f"baseline {dict(baseline)} is not a grid point")
-    columns = list(default_columns(list(axes)) if columns is None else columns)
-    unknown = [c for c in columns if c not in COLUMNS]
+        fields = {**vars(SystemConfig()), **(base or {})}
+    unknown = [k for k in axes if k not in fields or k == "notes"]
     if unknown:
-        raise ValueError(f"unknown columns {unknown}; try: {', '.join(COLUMNS)}")
-    return GridReport(
+        raise GridError(f"cannot sweep {unknown}: not SystemConfig knobs")
+    axes = {k: list(v) for k, v in axes.items()}
+    knobs = list(axes)
+    if points is None:
+        points = itertools.product(*axes.values())
+    points = [tuple(p) for p in points]
+    for p in points:
+        if len(p) != len(knobs) or any(v not in axes[k] for k, v in zip(knobs, p)):
+            raise GridError(f"grid point {p} does not match the axes {knobs}")
+    if len(set(points)) != len(points):
+        raise GridError(f"grid repeats a point: {points}")
+    columns = list(_default_columns(knobs) if columns is None else columns)
+    unknown = [c for c in columns if c not in _COLUMNS]
+    if unknown:
+        raise GridError(f"unknown columns {unknown}; try: {', '.join(_COLUMNS)}")
+    report = GridReport(
         trace_name=trace.name,
         axes=axes,
         points=points,
-        baseline=base_point,
+        baseline=min(points, key=lambda p: [(v is not None, v) for v in p]),
         columns=columns,
-        configs=configs,
-        runs=[NexusMachine(cfg).run(trace) for cfg in configs],
+        configs=[_point_config(fields, knobs, p) for p in points],
     )
+    keys = report.keys()
+    clash = sorted({k for k in keys if keys.count(k) > 1})
+    if clash:
+        raise GridError(
+            f"two axes or columns would share the row keys {clash}; "
+            "sweep them in separate grids"
+        )
+    report.runs = [NexusMachine(cfg).run(trace) for cfg in report.configs]
+    return report
 
 
 def sweep_parameter(

@@ -456,6 +456,16 @@ class TestGridSweepCli:
         with pytest.raises(SystemExit, match="grid point maestro_shards=1"):
             main(self.BASE + ["--retire-depth", "2", "--grid", "maestro_shards=1,2"])
 
+    def test_grid_before_the_workload_is_a_usage_error(self, capsys):
+        # The greedy token list would take the workload as a grid token.
+        with pytest.raises(SystemExit):
+            main(["sweep", "--grid", "maestro_shards=1,2", "random"])
+        assert "name the workload before --grid" in capsys.readouterr().err
+
+    def test_clashing_row_keys_are_a_usage_error(self):
+        with pytest.raises(SystemExit, match="share the row keys"):
+            main(self.BASE + ["--shards", "2", "--resolve", "--check"])
+
     def test_bare_grid_integer_is_the_block_grid_side(self, capsys):
         assert main(["sweep", "jacobi", "--grid", "3", "--iterations", "2",
                      "--grid", "maestro_shards=1,2", "--no-contention"]) == 0
