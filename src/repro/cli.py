@@ -87,7 +87,7 @@ from .traces import (
     wait_chain_trace,
 )
 
-__all__ = ["main", "build_workload", "WORKLOADS"]
+__all__ = ["main", "build_parser", "build_workload", "WORKLOADS"]
 
 #: name -> (builder, description).  Builders accept the parsed namespace.
 WORKLOADS: Dict[str, tuple[Callable[[argparse.Namespace], TaskTrace], str]] = {
@@ -220,9 +220,6 @@ _MACHINE_FLAGS = [
     ("--coalesce", "finish_coalesce_limit", int,
      "finish notifications drained per resolve activation (1 = the "
      "paper's one-at-a-time loop)"),
-    ("--coalesce-window", "finish_coalesce_window", "ns",
-     "ns the notify intake waits for stragglers before draining a batch "
-     "(needs --coalesce > 1)"),
     ("--spec-kickoff", "speculative_kickoff", True,
      "speculative kick-off: waiter kicks run in per-shard kick units, "
      "overlapping the next notification's table update"),
@@ -232,9 +229,6 @@ _MACHINE_FLAGS = [
     ("--check-coalesce", "check_coalesce_limit", int,
      "check probes drained per check-engine activation (1 = the paper's "
      "one-at-a-time Listing 2 loop)"),
-    ("--check-coalesce-window", "check_coalesce_window", "ns",
-     "ns the check intake waits for stragglers before draining a batch "
-     "(needs --check-coalesce > 1)"),
 ]
 
 
@@ -816,7 +810,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` command line: every subcommand and flag."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Nexus++ reproduction: simulate StarSs workloads on a "
@@ -919,8 +914,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_val = sub.add_parser("validate", help="inspect a saved .npz trace")
     p_val.add_argument("path")
     p_val.set_defaults(func=_cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

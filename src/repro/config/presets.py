@@ -52,9 +52,8 @@ def sharded_maestro(shards: int = 4, workers: int = 16, **overrides) -> SystemCo
     """Multi-Maestro machine: the Dependence Table hash-partitioned over
     ``shards`` Maestro instances on a ring interconnect (beyond the paper).
 
-    The total Dependence Table capacity matches Table IV by default (each
-    shard owns ``4096 / shards`` entries); override
-    ``dependence_table_entries_per_shard`` to size shards independently.
+    The total Dependence Table capacity matches Table IV (each shard owns
+    ``ceil(dependence_table_entries / shards)`` entries).
     """
     return SystemConfig(workers=workers, maestro_shards=shards, **overrides)
 
@@ -154,7 +153,6 @@ def fast_dispatch(
 
 def coalesced_resolve(
     coalesce: int = 8,
-    window: int = 0,
     td_cache: int = 64,
     prefetch_depth: int = 2,
     depth: int = 4,
@@ -180,7 +178,6 @@ def coalesced_resolve(
     return SystemConfig(
         workers=workers,
         finish_coalesce_limit=coalesce,
-        finish_coalesce_window=window,
         speculative_kickoff=True,
         td_cache_entries=td_cache,
         td_prefetch_depth=prefetch_depth,
@@ -195,7 +192,6 @@ def coalesced_resolve(
 
 def decentral_check(
     check_coalesce: int = 8,
-    check_window: int = 0,
     coalesce: int = 8,
     td_cache: int = 64,
     prefetch_depth: int = 2,
@@ -223,7 +219,6 @@ def decentral_check(
         workers=workers,
         decentralized_check_scatter=True,
         check_coalesce_limit=check_coalesce,
-        check_coalesce_window=check_window,
         finish_coalesce_limit=coalesce,
         speculative_kickoff=True,
         td_cache_entries=td_cache,

@@ -85,17 +85,6 @@ class SystemConfig:
     maestro_shards: int = 1
     #: Inter-Maestro interconnect latency per ring hop (picoseconds).
     shard_hop_time: int = 4 * NS
-    #: Dependence Table entries owned by each shard.  ``None`` splits
-    #: ``dependence_table_entries`` evenly (ceiling) across the shards so the
-    #: total capacity stays comparable to the single-Maestro machine.
-    dependence_table_entries_per_shard: Optional[int] = None
-    #: Depth of each shard's check/finish message queues (scatter requests
-    #: queue here; a full inbox backpressures the sender).
-    shard_inbox_entries: int = 16
-    #: Run the sharded Maestro implementation even when ``maestro_shards``
-    #: is 1 (differential-testing switch; the production machine uses the
-    #: dedicated single-Maestro engine at 1 shard).
-    force_sharded_maestro: bool = False
     #: Finishes each shard's retire front-end may keep in flight at once.
     #: 1 reproduces the serialized retire loop (param read, finish scatter,
     #: reply gather and chain free complete for one task before the next
@@ -103,16 +92,9 @@ class SystemConfig:
     #: finish scatter/gather with retire tickets so successive finishes
     #: overlap, bounded by the N ticket slots (backpressure when exhausted).
     #: A sharded-engine knob: raising it on a single-Maestro machine is an
-    #: error rather than a silent no-op.
+    #: error rather than a silent no-op.  The Task Pool gets one access
+    #: port per ticket slot (:attr:`tp_ports`).
     retire_pipeline_depth: int = 1
-    #: Concurrent Task Pool access ports (a banked/multi-ported SRAM; the
-    #: paper's per-entry busy bits allow concurrent access to distinct
-    #: entries, which a single arbitration port under-models).  ``None``
-    #: provisions one port per *per-shard ticket slot* — i.e.
-    #: ``retire_pipeline_depth`` ports, shared by all shards and blocks —
-    #: so the depth-1 machine keeps the paper-exact single port and a
-    #: deeper retire pipeline scales its TP bandwidth with its depth.
-    task_pool_ports: Optional[int] = None
 
     # ---- fast-dispatch subsystem -------------------------------------------------
     #: Per-shard TD prefetch cache capacity, in staged Task Descriptors.
@@ -149,13 +131,6 @@ class SystemConfig:
     #: apply in that order within the merged access (ARCHITECTURE.md
     #: invariant 5).  Works on both Maestro engines.
     finish_coalesce_limit: int = 1
-    #: Picoseconds the notify intake waits after the first notification of
-    #: a batch for stragglers to land before draining (0 = drain only
-    #: what already arrived).  Trades a bounded added latency on the
-    #: first notification for larger batches; meaningful only with
-    #: ``finish_coalesce_limit`` > 1 (setting it alone is an error rather
-    #: than a silent no-op).
-    finish_coalesce_window: int = 0
     #: Speculative kick-off: hand became-ready waiter kicks to a dedicated
     #: per-shard kick unit instead of running them inline in the resolve
     #: loop, so the kick of one notification's waiter overlaps the
@@ -188,11 +163,6 @@ class SystemConfig:
     #: preserved: batches drain in arrival order and same-row probes apply
     #: in that order within the merged access.  A sharded-engine knob.
     check_coalesce_limit: int = 1
-    #: Picoseconds a check engine waits after the first probe of a batch
-    #: for stragglers before draining (0 = drain only what already
-    #: arrived).  Meaningful only with ``check_coalesce_limit`` > 1
-    #: (setting it alone is an error rather than a silent no-op).
-    check_coalesce_window: int = 0
 
     #: Locality-aware work stealing: an idle shard prefers stealing from
     #: shards that have no idle worker of their own, leaving a ready task
@@ -295,10 +265,9 @@ class SystemConfig:
             ("memory_banks", self.memory_banks),
             ("memory_batch_chunks", self.memory_batch_chunks),
             ("maestro_shards", self.maestro_shards),
-            ("shard_inbox_entries", self.shard_inbox_entries),
             ("retire_pipeline_depth", self.retire_pipeline_depth),
             # (retire_pipeline_depth > 1 additionally requires the sharded
-            # engine; checked below once use_sharded_maestro is decidable.)
+            # engine; checked below.)
             ("master_cores", self.master_cores),
             ("submission_batch", self.submission_batch),
         ]
@@ -331,17 +300,12 @@ class SystemConfig:
             raise ValueError("core_gflops must be positive")
         if self.shard_hop_time < 0:
             raise ValueError("shard_hop_time must be >= 0")
-        if self.dependence_table_entries_per_shard is not None:
-            if self.dependence_table_entries_per_shard < 1:
-                raise ValueError("dependence_table_entries_per_shard must be >= 1")
         if self.retire_pipeline_depth > 1 and not self.use_sharded_maestro:
             raise ValueError(
                 "retire_pipeline_depth > 1 requires the sharded Maestro "
-                "engine (set maestro_shards > 1 or force_sharded_maestro); "
-                "the single-Maestro machine would silently ignore it"
+                "engine (set maestro_shards > 1); the single-Maestro machine "
+                "would silently ignore it"
             )
-        if self.task_pool_ports is not None and self.task_pool_ports < 1:
-            raise ValueError("task_pool_ports must be >= 1")
         if self.td_cache_entries < 0:
             raise ValueError(
                 f"td_cache_entries must be >= 0, got {self.td_cache_entries}"
@@ -354,48 +318,26 @@ class SystemConfig:
             raise ValueError(
                 "the fast-dispatch subsystem (td_cache_entries > 0 or "
                 "kickoff_fast_path) requires the sharded Maestro engine "
-                "(set maestro_shards > 1 or force_sharded_maestro); the "
-                "single-Maestro machine would silently ignore it"
+                "(set maestro_shards > 1); the single-Maestro machine "
+                "would silently ignore it"
             )
         if self.finish_coalesce_limit < 1:
             raise ValueError(
                 f"finish_coalesce_limit must be >= 1, got "
                 f"{self.finish_coalesce_limit}"
             )
-        if self.finish_coalesce_window < 0:
-            raise ValueError(
-                f"finish_coalesce_window must be >= 0, got "
-                f"{self.finish_coalesce_window}"
-            )
-        if self.finish_coalesce_window > 0 and self.finish_coalesce_limit == 1:
-            raise ValueError(
-                "finish_coalesce_window > 0 needs finish_coalesce_limit > 1: "
-                "a batch window with a one-notification batch limit would "
-                "silently add latency and coalesce nothing"
-            )
         if self.check_coalesce_limit < 1:
             raise ValueError(
                 f"check_coalesce_limit must be >= 1, got "
                 f"{self.check_coalesce_limit}"
             )
-        if self.check_coalesce_window < 0:
-            raise ValueError(
-                f"check_coalesce_window must be >= 0, got "
-                f"{self.check_coalesce_window}"
-            )
-        if self.check_coalesce_window > 0 and self.check_coalesce_limit == 1:
-            raise ValueError(
-                "check_coalesce_window > 0 needs check_coalesce_limit > 1: "
-                "a batch window with a one-probe batch limit would silently "
-                "add latency and coalesce nothing"
-            )
         if self.use_check_pipeline and not self.use_sharded_maestro:
             raise ValueError(
                 "the decentralized check scatter and check-side coalescing "
                 "(decentralized_check_scatter or check_coalesce_limit > 1) "
-                "require the sharded Maestro engine (set maestro_shards > 1 "
-                "or force_sharded_maestro); the single-Maestro machine has "
-                "no Check Scatter to decentralize"
+                "require the sharded Maestro engine (set maestro_shards > 1); "
+                "the single-Maestro machine has no Check Scatter to "
+                "decentralize"
             )
         if self.telemetry_window < 0:
             raise ValueError(
@@ -417,9 +359,9 @@ class SystemConfig:
         if self.locality_stealing and not self.use_sharded_maestro:
             raise ValueError(
                 "locality_stealing=True requires the sharded Maestro "
-                "engine (set maestro_shards > 1 or force_sharded_maestro); "
-                "the single-Maestro machine has no stealing scheduler and "
-                "would silently ignore it"
+                "engine (set maestro_shards > 1); the single-Maestro "
+                "machine has no stealing scheduler and would silently "
+                "ignore it"
             )
 
     # ---- derived quantities -----------------------------------------------------------
@@ -447,7 +389,7 @@ class SystemConfig:
     @property
     def use_sharded_maestro(self) -> bool:
         """True when the machine should wire the sharded Maestro subsystem."""
-        return self.maestro_shards > 1 or self.force_sharded_maestro
+        return self.maestro_shards > 1
 
     @property
     def use_parallel_frontend(self) -> bool:
@@ -464,10 +406,12 @@ class SystemConfig:
 
     @property
     def tp_ports(self) -> int:
-        """Effective Task Pool port count (one per per-shard ticket slot —
-        ``retire_pipeline_depth`` — when ``task_pool_ports`` derives)."""
-        if self.task_pool_ports is not None:
-            return self.task_pool_ports
+        """Concurrent Task Pool access ports: one per per-shard retire
+        ticket slot, shared by all shards and blocks.  The depth-1 machine
+        keeps the paper's single arbitration port; a deeper retire
+        pipeline scales Task Pool bandwidth with its depth (the paper's
+        per-entry busy bits allow concurrent access to distinct entries,
+        which a single port under-models)."""
         return self.retire_pipeline_depth
 
     @property
@@ -502,9 +446,9 @@ class SystemConfig:
 
     @property
     def dt_entries_per_shard(self) -> int:
-        """Dependence Table capacity owned by each Maestro shard."""
-        if self.dependence_table_entries_per_shard is not None:
-            return self.dependence_table_entries_per_shard
+        """Dependence Table capacity owned by each Maestro shard: the
+        total split evenly (ceiling), so it stays comparable to the
+        single-Maestro machine."""
         return -(-self.dependence_table_entries // self.maestro_shards)
 
     @property
@@ -586,7 +530,6 @@ class SystemConfig:
                     "Dependence Table per shard",
                     f"{self.dt_entries_per_shard} entries",
                 ),
-                ("Shard inbox depth", str(self.shard_inbox_entries)),
                 ("Retire pipeline depth", str(self.retire_pipeline_depth)),
                 ("Task Pool ports", str(self.tp_ports)),
             ]
@@ -607,10 +550,6 @@ class SystemConfig:
                     f"{self.finish_coalesce_limit} notifications/batch",
                 ),
                 (
-                    "Finish coalesce window",
-                    f"{self.finish_coalesce_window / NS:g}ns",
-                ),
-                (
                     "Speculative kick-off",
                     "on" if self.speculative_kickoff else "off",
                 ),
@@ -626,10 +565,6 @@ class SystemConfig:
                 (
                     "Check coalesce limit",
                     f"{self.check_coalesce_limit} probes/batch",
-                ),
-                (
-                    "Check coalesce window",
-                    f"{self.check_coalesce_window / NS:g}ns",
                 ),
             ]
         return [

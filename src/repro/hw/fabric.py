@@ -94,6 +94,10 @@ from .task_pool import TaskPool
 
 __all__ = ["CheckResequencer", "Fabric", "Interconnect", "MergeUnit", "RetireSlot"]
 
+#: Depth of each shard's check and finish inboxes (scatter requests queue
+#: here; a full inbox backpressures the sender).
+SHARD_INBOX_ENTRIES = 16
+
 
 @dataclass
 class RetireSlot:
@@ -311,8 +315,8 @@ class Fabric:
             config.task_pool_entries, config.max_params_per_td, config.restricted
         )
         # The Task Pool SRAM exposes ``tp_ports`` concurrent access ports
-        # (default: one, the paper's single arbitration; a pipelined retire
-        # machine derives retire_pipeline_depth ports, shared by all shards
+        # (one at retire depth 1, the paper's single arbitration; a pipelined
+        # retire machine has retire_pipeline_depth ports, shared by all shards
         # and blocks — per-entry busy bits in the real hardware allow
         # concurrent access to distinct entries, which a single port
         # under-models).  Maestro blocks arbitrate for a port per table
@@ -516,15 +520,16 @@ class Fabric:
         # Scatter/gather message queues.  Check and finish requests travel
         # on separate virtual channels so a check stalled on a full shard
         # table can never block the finish traffic that will free it.
-        depth = config.shard_inbox_entries
         self.check_inbox: List[Fifo] = [
-            Fifo(sim, depth, f"s{s}-check-inbox") for s in range(n)
+            Fifo(sim, SHARD_INBOX_ENTRIES, f"s{s}-check-inbox") for s in range(n)
         ]
         # Finish inboxes are occupancy-tracked: they are the sharded
         # resolve stage's intake queues, and their time-weighted depth is
         # the finish-engine queueing component of the resolve hop.
         self.finish_inbox: List[Fifo] = [
-            Fifo(sim, depth, f"s{s}-finish-inbox", track_occupancy=True)
+            Fifo(
+                sim, SHARD_INBOX_ENTRIES, f"s{s}-finish-inbox", track_occupancy=True
+            )
             for s in range(n)
         ]
         # Gather channels are sized for every in-flight parameter so a
@@ -621,8 +626,6 @@ class Fabric:
         """Owning Maestro shard of an address (same multiplicative hash
         family as the Dependence Table, mixed with a different constant so
         partitioning stays independent of each shard's bucket hashing)."""
-        if self.n_shards == 1:
-            return 0
         return shard_hash(addr, self.n_shards)
 
     def core_shard(self, core: int) -> int:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from ..scoreboard import Scoreboard
 from ..sim import BusyTracker
 from .fabric import Fabric
-from .resolve import notify_drain_block, table_update_block, waiter_kick_block
+from .resolve import notify_drain, table_update_block, waiter_kick_block
 
 __all__ = [
     "TaskMaestro",
@@ -340,7 +340,7 @@ class TaskMaestro:
             first = yield fab.finished_notify.get()
             busy.begin()
             yield sim.timeout(fab.cycle)  # observe + acknowledge the 1-bit line
-            cores = yield from notify_drain_block(fab, resolve, first)
+            cores = notify_drain(fab, first, resolve.coalesce_limit)
             # Read each finished task's input/output list from the Task Pool.
             finished = []  # (core, head, task) in notification order
             updates = []  # (releaser head, param) in notification order

@@ -12,10 +12,9 @@ the two optimizations below apply to *both* engines:
 * **Notify intake** — pop the trigger queue (the ``finished_notify`` line
   in the single Maestro, a shard's finish inbox in the sharded one) and,
   with coalescing on, drain up to ``finish_coalesce_limit`` further
-  already-arrived notifications into one batch
-  (:func:`notify_drain_block` / :func:`finish_intake_block`).  An
-  optional ``finish_coalesce_window`` lets the intake wait a bounded time
-  for stragglers before draining.
+  already-arrived notifications into one batch (:func:`notify_drain` /
+  :func:`inbox_drain`).  A notification still in flight is never waited
+  for.
 * **Dependence-table update** — apply the batch's updates to the
   Dependence Table (:func:`table_update_block`).  Updates hitting the
   same table row are merged into a single row access: the hash probe is
@@ -45,19 +44,20 @@ pre-resolve-pipeline machines (differential-tested against recorded
 goldens in ``tests/integration/test_resolve_differential.py``).
 
 The *check* side of the machine reuses the same staging discipline:
-:func:`check_intake_block` / :func:`check_update_block` (driven by
-:class:`CheckPipeline`) are the check-flavored mirror of the intake and
-table-update stages — a batch of already-arrived check probes per
-check-engine activation, same-row probes merged into one hash-probe
-access (``row_latched`` in
+:func:`inbox_drain` / :func:`check_update_block` (driven by
+:class:`CheckPipeline`) are the check-flavored intake and table-update
+stages — a batch of already-arrived check probes per check-engine
+activation, same-row probes merged into one hash-probe access
+(``row_latched`` in
 :meth:`~repro.hw.dependence_table.DependenceTable.check_param`), the
 probe/insert stages pipelined across the batch.  Gated by
-``check_coalesce_limit``/``check_coalesce_window`` and
-differential-tested in ``tests/integration/test_check_differential.py``.
+``check_coalesce_limit`` and differential-tested in
+``tests/integration/test_check_differential.py``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import Fifo
@@ -65,80 +65,50 @@ from ..sim import Fifo
 __all__ = [
     "ResolvePipeline",
     "CheckPipeline",
-    "notify_drain_block",
-    "finish_intake_block",
-    "check_intake_block",
+    "notify_drain",
+    "inbox_drain",
     "table_update_block",
     "check_update_block",
     "waiter_kick_block",
 ]
 
 
-def notify_drain_block(fab, resolve: "ResolvePipeline", first):
+def notify_drain(fab, first, limit: int) -> list:
     """Stage 1 (single-Maestro flavor): coalesce finished-notify pops.
 
     ``first`` is the core id already popped off the ``finished_notify``
     line (the activation trigger; its 1-cycle acknowledge is charged by
-    the caller).  With coalescing on, waits out the configured window and
-    then drains further already-queued notifications, up to the batch
-    limit.  Returns the list of notifying core ids, arrival order.
+    the caller).  Drains further already-queued notifications, up to
+    ``limit`` in all, in zero time.  Returns the list of notifying core
+    ids, arrival order.
     """
     cores = [first]
-    if resolve.coalesce_limit > 1:
-        if resolve.coalesce_window:
-            yield fab.sim.timeout(resolve.coalesce_window)
-        while len(cores) < resolve.coalesce_limit:
-            nxt = fab.finished_notify.try_get()
-            if nxt is None:
-                break
-            cores.append(nxt)
+    while len(cores) < limit:
+        nxt = fab.finished_notify.try_get()
+        if nxt is None:
+            break
+        cores.append(nxt)
     return cores
 
 
-def finish_intake_block(fab, inbox: Fifo, resolve: "ResolvePipeline", first):
-    """Stage 1 (sharded flavor): coalesce a shard's finish-inbox drain.
+def inbox_drain(fab, inbox: Fifo, first, limit: int) -> list:
+    """Stage 1 (sharded flavor): coalesce a shard's finish- or
+    check-inbox drain.
 
     ``first`` is the stamped message's payload already received (and
-    waited out) by the engine.  Drains up to ``finish_coalesce_limit`` - 1
-    further messages whose stamped arrival time has passed — a message
-    still in flight on the ring is *not* waited for (beyond the optional
-    coalesce window), so coalescing never delays a batch for traffic that
-    has not physically arrived.  Returns the payload list, arrival order.
+    waited out) by the engine.  Drains further messages whose stamped
+    arrival time has passed, up to ``limit`` in all, in zero time — a
+    message still in flight on the ring is *not* waited for, so
+    coalescing never delays a batch for traffic that has not physically
+    arrived.  Returns the payload list, arrival order.
     """
     msgs = [first]
-    if resolve.coalesce_limit > 1:
-        if resolve.coalesce_window:
-            yield fab.sim.timeout(resolve.coalesce_window)
-        now = fab.sim.now
-        while len(msgs) < resolve.coalesce_limit:
-            head = inbox.peek()
-            if head is None or head[0] > now:
-                break
-            msgs.append(inbox.try_get()[1])
-    return msgs
-
-
-def check_intake_block(fab, inbox: Fifo, check: "CheckPipeline", first):
-    """Stage 1 (check flavor): coalesce a shard's check-inbox drain.
-
-    The mirror image of :func:`finish_intake_block` on the check side:
-    ``first`` is the stamped check message's payload already received (and
-    waited out) by the check engine; up to ``check_coalesce_limit`` - 1
-    further messages whose stamped arrival time has passed are drained
-    into the batch — a probe still in flight on the ring is never waited
-    for beyond the optional ``check_coalesce_window``.  Returns the
-    payload list, arrival order.
-    """
-    msgs = [first]
-    if check.coalesce_limit > 1:
-        if check.coalesce_window:
-            yield fab.sim.timeout(check.coalesce_window)
-        now = fab.sim.now
-        while len(msgs) < check.coalesce_limit:
-            head = inbox.peek()
-            if head is None or head[0] > now:
-                break
-            msgs.append(inbox.try_get()[1])
+    now = fab.sim.now
+    while len(msgs) < limit:
+        head = inbox.peek()
+        if head is None or head[0] > now:
+            break
+        msgs.append(inbox.try_get()[1])
     return msgs
 
 
@@ -162,19 +132,28 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
     table = fab.dep_shards[shard]
     port = fab.dt_ports[shard]
     pipelined = check.coalesce_limit > 1
-    groups: Dict[int, List[tuple]] = {}
+    rows: Dict[int, List[tuple]] = {}
     for msg in msgs:
-        groups.setdefault(msg[2].addr, []).append(msg)
-    for g, group in enumerate(groups.values()):
+        rows.setdefault(msg[2].addr, []).append(msg)
+    groups = deque(rows.values())
+    commits = 0
+    while groups:
+        group = groups.popleft()
         # A check may need fresh table slots (a new address entry or a
         # Kick-Off dummy, at most one per probe).  The free-slot wait must
         # precede the port grab: the finish engine that frees slots
         # arbitrates for the same port, so waiting while holding it would
         # deadlock the shard.  One slot per probe is reserved
-        # conservatively — the whole group commits under one grant.
-        while table.free_slots < len(group):
+        # conservatively, so a group larger than the free slots commits
+        # only its first probes and queues the rest as the next group —
+        # waiting for room for the whole group could wait on a slot only
+        # a task checked behind it frees.
+        while not table.free_slots:
             fab.dt_freed_shard[shard].clear()
             yield fab.dt_freed_shard[shard].wait()
+        if len(group) > table.free_slots:
+            groups.appendleft(group[table.free_slots:])
+            group = group[:table.free_slots]
         yield port.acquire()
         accesses_total = 0
         results = []
@@ -188,10 +167,11 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
                 # row's write-back.  The batch's very first probe pays
                 # full price — a batch of one is Listing 2 exactly.
                 row_latched=i > 0,
-                probe_overlapped=pipelined and i == 0 and g > 0,
+                probe_overlapped=pipelined and i == 0 and commits > 0,
             )
             accesses_total += accesses
             results.append((head, home, n, blocked))
+        commits += 1
         yield sim.timeout(accesses_total * fab.on_chip)
         port.release()
         for head, home, n, blocked in results:
@@ -203,7 +183,7 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
             yield fab.reply_inbox[home].put(
                 fab.icn.message(shard, home, (head, n))
             )
-    check.note_batch(len(msgs), len(groups))
+    check.note_batch(len(msgs), commits)
 
 
 def table_update_block(fab, table, port, freed, updates,
@@ -308,7 +288,6 @@ class ResolvePipeline:
         self.fabric = fabric
         config = fabric.config
         self.coalesce_limit = config.finish_coalesce_limit
-        self.coalesce_window = config.finish_coalesce_window
         self.speculative = config.speculative_kickoff
         #: One kick queue per shard (one total on the single Maestro).
         self.kick_queues: List[Fifo] = []
@@ -378,7 +357,6 @@ class ResolvePipeline:
     def stats(self) -> dict:
         out = {
             "coalesce_limit": self.coalesce_limit,
-            "coalesce_window_ps": self.coalesce_window,
             "speculative_kickoff": self.speculative,
             "batches": self.batches,
             "updates": self.updates,
@@ -408,7 +386,6 @@ class CheckPipeline:
         self.fabric = fabric
         config = fabric.config
         self.coalesce_limit = config.check_coalesce_limit
-        self.coalesce_window = config.check_coalesce_window
         self.decentralized = config.decentralized_check_scatter
         # ---- statistics ------------------------------------------------------
         #: Check-engine activations (one per drained batch).
@@ -437,7 +414,6 @@ class CheckPipeline:
         return {
             "decentralized_scatter": self.decentralized,
             "coalesce_limit": self.coalesce_limit,
-            "coalesce_window_ps": self.coalesce_window,
             "batches": self.batches,
             "probes": self.probes,
             "mean_batch": self.probes / self.batches if self.batches else 0.0,

@@ -112,12 +112,12 @@ finish order at the owning shard's serial finish engine.  Finishes from
 *different* shards interleave arbitrarily, exactly as they already did at
 depth 1; both tasks have finished, so their table updates commute.
 
-With ``maestro_shards=1`` this protocol is a pipelined refinement of the
-single Maestro (scatter/gather stages are explicit), not a cycle-exact
-reproduction of it — the production machine therefore keeps the dedicated
-:class:`~repro.hw.maestro.TaskMaestro` at one shard, and the differential
-tests pin both the one-shard equivalence of that engine and the schedule
-legality of this one at every shard count and retire depth.
+This engine is built only for ``maestro_shards > 1``: at one shard its
+protocol would be a pipelined refinement of the single Maestro
+(scatter/gather stages explicit), not a cycle-exact reproduction of it,
+so the machine keeps the dedicated :class:`~repro.hw.maestro.TaskMaestro`
+there.  The differential tests pin the schedule legality of this engine
+at every shard count and retire depth.
 """
 
 from __future__ import annotations
@@ -129,9 +129,8 @@ from ..sim import BusyTracker
 from .fabric import Fabric, RetireSlot
 from .maestro import retire_free_block, send_tds_block, write_tp_block
 from .resolve import (
-    check_intake_block,
     check_update_block,
-    finish_intake_block,
+    inbox_drain,
     table_update_block,
     waiter_kick_block,
 )
@@ -357,9 +356,7 @@ class ShardedMaestro:
         while True:
             first = yield from self._recv(fab.check_inbox[s])
             busy.begin()
-            msgs = yield from check_intake_block(
-                fab, fab.check_inbox[s], check, first
-            )
+            msgs = inbox_drain(fab, fab.check_inbox[s], first, check.coalesce_limit)
             yield from check_update_block(fab, s, msgs, check)
             busy.end()
 
@@ -667,8 +664,8 @@ class ShardedMaestro:
         while True:
             first = yield from self._recv(fab.finish_inbox[s])
             busy.begin()
-            msgs = yield from finish_intake_block(
-                fab, fab.finish_inbox[s], resolve, first
+            msgs = inbox_drain(
+                fab, fab.finish_inbox[s], first, resolve.coalesce_limit
             )
 
             def kick_grants(grants, s=s):

@@ -299,11 +299,9 @@ class NexusMachine:
                 "td_cache_entries": cfg.td_cache_entries,
                 "kickoff_fast_path": cfg.kickoff_fast_path,
                 "finish_coalesce_limit": cfg.finish_coalesce_limit,
-                "finish_coalesce_window": cfg.finish_coalesce_window,
                 "speculative_kickoff": cfg.speculative_kickoff,
                 "decentralized_check_scatter": cfg.decentralized_check_scatter,
                 "check_coalesce_limit": cfg.check_coalesce_limit,
-                "check_coalesce_window": cfg.check_coalesce_window,
                 "sim_kernel": cfg.sim_kernel,
             },
         )

@@ -196,7 +196,6 @@ def _batch_columns(stage: str) -> Dict[str, _Column]:
     """The batch-shape counters the resolve and check pipelines share."""
     rounded = {"default": 0.0, "digits": 4}
     return {
-        f"{stage}.window_ps": _Column("window ps", _stat(stage, "coalesce_window_ps")),
         f"{stage}.mean_batch": _Column(
             "mean batch", _stat(stage, "mean_batch", **rounded), _2f
         ),
@@ -305,14 +304,6 @@ _AXIS_LABELS = {
     "check_coalesce_limit": "coalesce",
 }
 
-#: (batch-limit knob, straggler-window knob): a window only exists at
-#: points that coalesce, so a grid point with the limit at 1 runs with
-#: the window zeroed.
-_COALESCE_WINDOWS = (
-    ("finish_coalesce_limit", "finish_coalesce_window"),
-    ("check_coalesce_limit", "check_coalesce_window"),
-)
-
 
 def _ablation(knobs: tuple[str, str], off: tuple, on: tuple) -> Dict[str, Any]:
     """Two-feature on/off ablation: both off, the first alone, the second
@@ -335,9 +326,6 @@ _BASIC_COLUMNS = _RUN + _BUSIEST
 #: Named grids, one per scaling study the benches pin.  Each maker
 #: returns ``grid_sweep`` keyword arguments (``axes``, optional
 #: ``points``, ``columns``); its parameters size the swept values.
-#: The resolve and check ablations' coalesce-on points keep the base
-#: config's coalescing window; retire depths derive their Task Pool ports
-#: unless the base config pins ``task_pool_ports``.
 GRID_PRESETS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "shards": lambda shards=(1, 2, 4): {
         "axes": {"maestro_shards": list(shards)},
@@ -367,7 +355,7 @@ GRID_PRESETS: Dict[str, Callable[..., Dict[str, Any]]] = {
         **_ablation(
             ("finish_coalesce_limit", "speculative_kickoff"), (1, False), (coalesce, True)
         ),
-        "columns": ("resolve.window_ps",) + _RUN + _CHAIN
+        "columns": _RUN + _CHAIN
         + ("resolve.mean_batch", "resolve.coalesce_rate", "resolve.row_merges")
         + ("speculative_kicks", "busiest_maestro_block"),
     },
@@ -377,7 +365,7 @@ GRID_PRESETS: Dict[str, Callable[..., Dict[str, Any]]] = {
             (False, 1),
             (True, check_coalesce),
         ),
-        "columns": ("check.window_ps",) + _RUN
+        "columns": _RUN
         + ("scatter_busy", "check_engine_busy")
         + ("check.mean_batch", "check.coalesce_rate", "check.row_merges")
         + ("reseq_max_held", "busiest_maestro_block"),
@@ -443,9 +431,6 @@ def _point_config(
     """The machine at one grid point: the base fields, the point's
     overrides and the knobs those overrides drag along."""
     over = dict(zip(knobs, point))
-    for limit, window in _COALESCE_WINDOWS:
-        if limit in over and window not in over and over[limit] <= 1:
-            over[window] = 0
     if "task_pool_entries" in over and "tp_free_list_entries" not in over:
         # The free-index list must hold every Task Pool index.
         over["tp_free_list_entries"] = max(
@@ -453,18 +438,9 @@ def _point_config(
         )
     where = ", ".join(f"{k}={v!r}" for k, v in zip(knobs, point))
     try:
-        cfg = SystemConfig(**{**fields, **over})
+        return SystemConfig(**{**fields, **over})
     except ValueError as exc:
         raise GridError(f"grid point {where}: {exc}") from None
-    per_shard = cfg.dependence_table_entries_per_shard
-    if "dependence_table_entries" in over and cfg.use_sharded_maestro and per_shard:
-        # Shard slices are sized by the override; the total changes nothing.
-        raise GridError(
-            f"grid point {where}: sweeping dependence_table_entries has no "
-            f"effect beside dependence_table_entries_per_shard={per_shard}; "
-            "sweep the per-shard size, or clear it so it derives from the total"
-        )
-    return cfg
 
 
 @dataclass
@@ -564,8 +540,7 @@ def grid_sweep(
     the coordinates to run, in order.  Every point applies its overrides
     to ``base`` -- a :class:`SystemConfig`, or a mapping of overrides to
     the defaults that need only be valid once each point's axes are
-    applied -- plus two coupled rules: a coalescing window is zeroed at
-    points whose batch limit is 1, and the Task Pool free list grows with
+    applied -- plus one coupled rule: the Task Pool free list grows with
     a swept ``task_pool_entries``.
 
     The baseline is the grid's smallest point: every axis at its lowest

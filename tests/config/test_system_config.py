@@ -171,8 +171,8 @@ class TestShardedMaestroConfig:
         assert not cfg.use_sharded_maestro
         assert cfg.shard_hop_time == 4 * NS
 
-    def test_force_switch_enables_sharded_engine_at_one_shard(self):
-        assert SystemConfig(force_sharded_maestro=True).use_sharded_maestro
+    def test_sharded_engine_only_above_one_shard(self):
+        assert not SystemConfig(maestro_shards=1).use_sharded_maestro
         assert SystemConfig(maestro_shards=2).use_sharded_maestro
 
     def test_per_shard_table_split_is_ceiling(self):
@@ -180,19 +180,11 @@ class TestShardedMaestroConfig:
         assert cfg.dt_entries_per_shard == -(-4096 // 3)
         assert cfg.dt_entries_per_shard * 3 >= cfg.dependence_table_entries
 
-    def test_per_shard_table_override(self):
-        cfg = SystemConfig(maestro_shards=2, dependence_table_entries_per_shard=64)
-        assert cfg.dt_entries_per_shard == 64
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SystemConfig(maestro_shards=0)
         with pytest.raises(ValueError):
             SystemConfig(shard_hop_time=-1)
-        with pytest.raises(ValueError):
-            SystemConfig(dependence_table_entries_per_shard=0)
-        with pytest.raises(ValueError):
-            SystemConfig(shard_inbox_entries=0)
 
     def test_table_iv_gains_shard_rows_only_when_sharded(self):
         assert "Maestro shards" not in dict(SystemConfig().table_iv())

@@ -21,23 +21,17 @@ ARCHITECTURE = REPO / "ARCHITECTURE.md"
 SCALING_KNOBS = [
     "maestro_shards",
     "shard_hop_time",
-    "dependence_table_entries_per_shard",
-    "shard_inbox_entries",
-    "force_sharded_maestro",
     "master_cores",
     "submission_batch",
     "retire_pipeline_depth",
-    "task_pool_ports",
     "td_cache_entries",
     "td_prefetch_depth",
     "kickoff_fast_path",
     "locality_stealing",
     "finish_coalesce_limit",
-    "finish_coalesce_window",
     "speculative_kickoff",
     "decentralized_check_scatter",
     "check_coalesce_limit",
-    "check_coalesce_window",
     "sim_kernel",
     "telemetry_window",
 ]
@@ -80,10 +74,9 @@ def test_documented_defaults_match_config():
     cfg = SystemConfig()
     text = _doc_text()
     for knob in ("maestro_shards", "master_cores", "submission_batch",
-                 "retire_pipeline_depth", "shard_inbox_entries",
-                 "td_cache_entries", "td_prefetch_depth",
-                 "finish_coalesce_limit", "finish_coalesce_window",
-                 "check_coalesce_limit", "check_coalesce_window"):
+                 "retire_pipeline_depth", "td_cache_entries",
+                 "td_prefetch_depth", "finish_coalesce_limit",
+                 "check_coalesce_limit"):
         row = re.search(
             rf"^\|\s*`{knob}`\s*\|\s*([^|]+)\|", text, flags=re.MULTILINE
         )

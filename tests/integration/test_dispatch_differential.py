@@ -52,21 +52,21 @@ TRACES = {"random": _random, "gaussian": _gaussian}
 #: (makespan_ps, schedule digest) recorded from the PR 3 machine (commit
 #: 9fdd683, before the fast-dispatch subsystem existed) at workers=8,
 #: masters=4, batch=8, retire depth 4, contention-free, fitted bus.
-#: "forced1" = the sharded engine at one shard, "shardsN" = N shards.
+#: "shardsN" = N shards.
 GOLDEN = {
-    ("random", "forced1"): (13_665_228, "d7a8001f72bce6cf"),
     ("random", "shards2"): (8_803_690, "55ed4116661c7458"),
     ("random", "shards4"): (7_668_629, "d1be90966d8fd1f5"),
-    ("gaussian", "forced1"): (17_425_000, "ca9cc8251acc9201"),
     ("gaussian", "shards2"): (13_269_000, "9c27d357e785f467"),
     ("gaussian", "shards4"): (11_763_000, "e3c732b1a35fb3d3"),
 }
 
 ENGINES = {
-    "forced1": dict(maestro_shards=1, force_sharded_maestro=True),
     "shards2": dict(maestro_shards=2),
+    "shards3": dict(maestro_shards=3),
     "shards4": dict(maestro_shards=4),
 }
+#: The engines the goldens pin (no golden pins an odd shard count).
+GOLDEN_ENGINES = sorted({engine for _, engine in GOLDEN})
 
 
 def _config(**overrides) -> SystemConfig:
@@ -91,7 +91,7 @@ def _schedule_digest(result) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", GOLDEN_ENGINES)
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 def test_subsystem_off_is_cycle_identical_to_pre_dispatch(trace_name, engine):
     trace = TRACES[trace_name]()
@@ -126,8 +126,7 @@ def test_fast_dispatch_needs_the_sharded_engine():
     # The steal scheduler only exists in the sharded engine too.
     with pytest.raises(ValueError, match="sharded"):
         SystemConfig(locality_stealing=True)
-    # force_sharded_maestro at one shard is a legal fast-dispatch machine.
-    SystemConfig(td_cache_entries=64, kickoff_fast_path=True, force_sharded_maestro=True)
+    SystemConfig(td_cache_entries=64, kickoff_fast_path=True, maestro_shards=2)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

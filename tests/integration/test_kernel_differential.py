@@ -4,8 +4,8 @@ The kernel rebuild replaced the global-heap event scheduler with the
 calendar-queue/timing-wheel scheduler and made the waitable hot paths
 allocation-light.  None of that may change a single modelled cycle: the
 wheel kernel must replay the heap kernel's schedule **cycle-for-cycle**
-on the full PR 6 feature stack — every engine (single-Maestro, forced
-sharded at 1 shard, 2 and 4 shards), with the complete knob pile on
+on the full feature stack — every engine (single-Maestro, 2, 3 and 4
+shards), with the complete knob pile on
 (multi-master batched submission, retire pipelining, fast dispatch,
 staged resolve with coalescing + speculative kick-off, decentralized
 check scatter with check coalescing).
@@ -52,20 +52,20 @@ TRACES = {"random": _random, "gaussian": _gaussian}
 #: that makes the simulator fire more (or fewer) events moves these even
 #: when the modelled schedule stays put.
 EVENTS_PROCESSED = {
-    ("gaussian", "forced1"): 47531,
     ("gaussian", "shards2"): 49170,
+    ("gaussian", "shards3"): 50118,
     ("gaussian", "shards4"): 51032,
     ("gaussian", "single"): 28062,
-    ("random", "forced1"): 46019,
     ("random", "shards2"): 50753,
+    ("random", "shards3"): 50289,
     ("random", "shards4"): 51202,
     ("random", "single"): 27876,
 }
 
 ENGINES = {
     "single": dict(),
-    "forced1": dict(maestro_shards=1, force_sharded_maestro=True),
     "shards2": dict(maestro_shards=2),
+    "shards3": dict(maestro_shards=3),
     "shards4": dict(maestro_shards=4),
 }
 

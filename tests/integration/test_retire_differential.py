@@ -39,22 +39,22 @@ def _h264():
 TRACES = {"gaussian": _gaussian, "h264": _h264}
 
 #: (makespan_ps, schedule digest) recorded from the PR 2 machine (commit
-#: 062bba7, before retire pipelining existed) at workers=8.  "forced1" =
-#: the sharded engine at one shard, "shardsN" = N shards.
+#: 062bba7, before retire pipelining existed) at workers=8.  "shardsN" =
+#: N shards.
 GOLDEN = {
-    ("gaussian", "forced1"): (22_635_500, "ab9871b2b249db25"),
     ("gaussian", "shards2"): (22_679_500, "02367daedbb157f1"),
     ("gaussian", "shards4"): (22_750_000, "4404ad73628b0141"),
-    ("h264", "forced1"): (771_744_908, "3818cd83065ae78c"),
     ("h264", "shards2"): (776_723_031, "f8ad19e5879c9256"),
     ("h264", "shards4"): (761_220_130, "da99d58d33370e59"),
 }
 
 ENGINES = {
-    "forced1": dict(maestro_shards=1, force_sharded_maestro=True),
     "shards2": dict(maestro_shards=2),
+    "shards3": dict(maestro_shards=3),
     "shards4": dict(maestro_shards=4),
 }
+#: The engines the goldens pin (no golden pins an odd shard count).
+GOLDEN_ENGINES = sorted({engine for _, engine in GOLDEN})
 
 
 def _schedule_digest(result) -> str:
@@ -67,7 +67,7 @@ def _schedule_digest(result) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", GOLDEN_ENGINES)
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 def test_depth_one_is_cycle_identical_to_pre_pipelining(trace_name, engine):
     trace = TRACES[trace_name]()
@@ -80,11 +80,11 @@ def test_depth_one_is_cycle_identical_to_pre_pipelining(trace_name, engine):
 
 def test_default_knobs_are_the_pre_pipelining_machine():
     """Explicitly passing the serialized retire knobs changes nothing: the
-    default derives a single Task Pool port from the depth-1 pipeline."""
+    Task Pool gets one port per retire ticket slot, a single port at
+    depth 1."""
     assert SystemConfig(retire_pipeline_depth=1) == SystemConfig()
     assert SystemConfig().tp_ports == 1
     assert SystemConfig(maestro_shards=4, retire_pipeline_depth=4).tp_ports == 4
-    assert SystemConfig(maestro_shards=4, task_pool_ports=2).tp_ports == 2
 
 
 def test_pipelining_needs_the_sharded_engine():
@@ -92,8 +92,7 @@ def test_pipelining_needs_the_sharded_engine():
     an error, not a silent no-op."""
     with pytest.raises(ValueError, match="sharded"):
         SystemConfig(retire_pipeline_depth=4)
-    # force_sharded_maestro at one shard is a legal pipelined machine.
-    SystemConfig(retire_pipeline_depth=4, force_sharded_maestro=True)
+    SystemConfig(retire_pipeline_depth=4, maestro_shards=2)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

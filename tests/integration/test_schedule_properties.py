@@ -84,7 +84,7 @@ def test_sharded_maestro_with_tiny_shard_tables(seed):
     cfg = SystemConfig(
         workers=2,
         maestro_shards=2,
-        dependence_table_entries_per_shard=8,
+        dependence_table_entries=16,
         kickoff_list_size=2,
         memory_contention=False,
     )

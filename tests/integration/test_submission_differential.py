@@ -39,20 +39,16 @@ TRACES = {"gaussian": _gaussian, "h264": _h264}
 
 #: (makespan_ps, schedule digest) recorded from the seed machine (commit
 #: 0954f23, before the submission front-end existed) at workers=8.
-#: "legacy" = the single-Maestro engine, "forced1" = the sharded engine at
-#: one shard, "shards2" = two shards.
+#: "legacy" = the single-Maestro engine, "shards2" = two shards.
 GOLDEN = {
     ("gaussian", "legacy"): (22_654_500, "91bbaa9ca0798fe8"),
-    ("gaussian", "forced1"): (22_635_500, "ab9871b2b249db25"),
     ("gaussian", "shards2"): (22_679_500, "02367daedbb157f1"),
     ("h264", "legacy"): (771_669_469, "4e1b014658ad764f"),
-    ("h264", "forced1"): (771_744_908, "3818cd83065ae78c"),
     ("h264", "shards2"): (776_723_031, "f8ad19e5879c9256"),
 }
 
 ENGINES = {
     "legacy": dict(),
-    "forced1": dict(maestro_shards=1, force_sharded_maestro=True),
     "shards2": dict(maestro_shards=2),
 }
 
@@ -88,8 +84,8 @@ def test_default_knobs_are_the_paper_machine():
 @pytest.mark.parametrize("engine_overrides", [
     dict(),                                             # single Maestro
     dict(maestro_shards=2),                             # sharded engine
-    dict(maestro_shards=1, force_sharded_maestro=True),
-], ids=["single", "shards2", "forced1"])
+    dict(maestro_shards=3),
+], ids=["single", "shards2", "shards3"])
 @pytest.mark.parametrize("masters,batch", [(2, 1), (2, 4), (4, 8), (3, 2)])
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 def test_parallel_frontend_schedule_is_legal(trace_name, masters, batch,

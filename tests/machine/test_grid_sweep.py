@@ -2,9 +2,11 @@
 
 ``grid_sweep_golden.json`` holds the rows the six per-study sweep
 functions (shard, master, retire, dispatch, resolve, check) produced
-before ``grid_sweep`` replaced them, on the hazard-dense trace below.
-The named preset grids must reproduce every row key for key, value for
-value and in the same order.
+before ``grid_sweep`` replaced them, on the hazard-dense trace below
+(the resolve and check entries were re-recorded on a base without a
+coalescing window, before that knob was deleted).  The named preset
+grids must reproduce every row key for key, value for value and in the
+same order.
 """
 
 import json
@@ -27,9 +29,7 @@ BASE = SystemConfig(workers=8, memory_contention=False)
 SHARDED = BASE.with_(maestro_shards=2, master_cores=2, submission_batch=4)
 PIPED = SHARDED.with_(retire_pipeline_depth=2)
 
-#: golden name -> (base config, grid_sweep kwargs).  The resolve and
-#: check bases carry a 2 ns coalescing window, which must reach the
-#: coalesce-on points only.
+#: golden name -> (base config, grid_sweep kwargs).
 GRIDS = {
     "shards": (BASE.with_(task_prep_time=0), preset_grid("shards", shards=[1, 2, 4])),
     "masters": (
@@ -38,15 +38,9 @@ GRIDS = {
     ),
     "retire": (SHARDED, preset_grid("retire", depths=[1, 2, 4])),
     "dispatch": (PIPED, preset_grid("dispatch", td_cache=16)),
-    "resolve": (
-        PIPED.with_(finish_coalesce_limit=4, finish_coalesce_window=2000),
-        preset_grid("resolve", coalesce=4),
-    ),
+    "resolve": (PIPED, preset_grid("resolve", coalesce=4)),
     "resolve_single": (BASE, preset_grid("resolve", coalesce=4)),
-    "check": (
-        PIPED.with_(check_coalesce_limit=4, check_coalesce_window=2000),
-        preset_grid("check", check_coalesce=4),
-    ),
+    "check": (PIPED, preset_grid("check", check_coalesce=4)),
 }
 
 
@@ -61,13 +55,6 @@ def test_golden_covers_every_preset():
     assert {n.split("_")[0] for n in GRIDS} == {
         "shards", "masters", "retire", "dispatch", "resolve", "check",
     }
-
-
-def test_coalescing_window_only_at_coalescing_points():
-    cfg, grid = GRIDS["resolve"]
-    rep = grid_sweep(TRACE, cfg, **grid)
-    windows = [c.finish_coalesce_window for c in rep.configs]
-    assert windows == [0, 2000, 0, 2000]
 
 
 class TestMixedAxes:

@@ -157,7 +157,7 @@ class TestPreflightTableCapacity:
 
         trace = random_trace(300, **self.PROBE)
         cfg = SystemConfig(
-            maestro_shards=2, dependence_table_entries_per_shard=2, max_params_per_td=8
+            maestro_shards=2, dependence_table_entries=4, max_params_per_td=8
         )
         with pytest.raises(
             CapacityError, match=r"task 0 needs 5 .* Maestro shard 0's .* holds 2"
@@ -170,7 +170,7 @@ class TestPreflightTableCapacity:
         trace = random_trace(60, n_addresses=16, max_params=6, seed=5,
                              mean_exec=2000, mean_memory=0)
         cfg = SystemConfig(
-            workers=4, maestro_shards=4, dependence_table_entries_per_shard=5,
+            workers=4, maestro_shards=4, dependence_table_entries=20,
             memory_contention=False,
         )
         assert max(t.n_params for t in trace) > 5
@@ -228,23 +228,9 @@ class TestSweepHelpers:
         )
         assert curve.saturation_point() == 4
 
-    def test_sweep_dt_entries_rejected_with_per_shard_override(self):
-        """Regression: sweeping the total Dependence Table size on a
-        sharded config with an explicit per-shard size would silently do
-        nothing; it must raise instead."""
-        trace = independent_trace(n_tasks=10, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(
-            workers=2,
-            maestro_shards=2,
-            dependence_table_entries_per_shard=64,
-            memory_contention=False,
-        )
-        with pytest.raises(ValueError, match="dependence_table_entries_per_shard"):
-            sweep_parameter(trace, cfg, "dependence_table_entries", [1024, 2048])
-
     def test_sweep_dt_entries_allowed_when_derived_per_shard(self):
-        """Without the per-shard override the swept total drives the
-        per-shard capacity, so the sweep is meaningful and allowed."""
+        """The swept total drives the per-shard capacity, so sweeping it on
+        a sharded machine is meaningful."""
         trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
         cfg = SystemConfig(workers=2, maestro_shards=2, memory_contention=False)
         results = sweep_parameter(
@@ -255,23 +241,6 @@ class TestSweepHelpers:
             extract=lambda r: r.makespan,
         )
         assert results[64] > 0
-
-    def test_sweep_per_shard_dt_entries_directly(self):
-        trace = independent_trace(n_tasks=30, n_params=2, time_model=FAST_TIMES)
-        cfg = SystemConfig(
-            workers=2,
-            maestro_shards=2,
-            dependence_table_entries_per_shard=64,
-            memory_contention=False,
-        )
-        results = sweep_parameter(
-            trace,
-            cfg,
-            "dependence_table_entries_per_shard",
-            [32, 64],
-            extract=lambda r: r.makespan,
-        )
-        assert set(results) == {32, 64}
 
     def test_sweep_parameter_adjusts_free_list(self):
         trace = independent_trace(n_tasks=50, n_params=2, time_model=FAST_TIMES)

@@ -358,17 +358,11 @@ class TestRetirePipelineCli:
             main(["sweep", "random", "--tasks", "40", "--resolve",
                   "--shards", "2", "--coalesce", "1"])
 
-    def test_run_coalesce_window_without_limit_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["run", "random", "--tasks", "40", "--workers", "4",
-                  "--coalesce-window", "2"])
-
     def test_info_shows_resolve_geometry(self, capsys):
         assert main(["info", "--shards", "4", "--coalesce", "8",
-                     "--coalesce-window", "2", "--spec-kickoff"]) == 0
+                     "--spec-kickoff"]) == 0
         out = capsys.readouterr().out
         assert "Finish coalesce limit" in out
-        assert "Finish coalesce window" in out
         assert "Speculative kick-off" in out
 
     def test_malformed_retire_depth_is_usage_error(self):
