@@ -5,7 +5,9 @@ from .gantt import gantt_chart, stage_latency_table
 from .metrics import PaperComparison, compare, comparison_row, efficiency
 from .tables import format_value, render_table
 from .telemetry import (
+    MAX_TELEMETRY_WINDOWS,
     TelemetrySampler,
+    TelemetryWindowError,
     TimeSeries,
     build_metrics_document,
     diff_metrics,
@@ -30,6 +32,8 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "TelemetrySampler",
+    "TelemetryWindowError",
+    "MAX_TELEMETRY_WINDOWS",
     "TimeSeries",
     "telemetry_schema",
     "validate_metrics",

@@ -44,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "TimeSeries",
     "TelemetrySampler",
+    "TelemetryWindowError",
+    "MAX_TELEMETRY_WINDOWS",
     "METRICS_SCHEMA_VERSION",
     "telemetry_schema",
     "validate_metrics",
@@ -59,6 +61,16 @@ METRICS_SCHEMA_VERSION = 1
 
 #: A signal read: ``fn(t0, t1) -> float`` for the window ``[t0, t1)``.
 SignalRead = Callable[[int, int], float]
+
+#: Most windows one run may sample.  Every window stores one float per
+#: signal (~40 on a sharded machine), so this bounds a series at tens of
+#: MB; a run that needs more has a window far too fine for its length.
+MAX_TELEMETRY_WINDOWS = 50_000
+
+
+class TelemetryWindowError(ValueError):
+    """A run outlived ``MAX_TELEMETRY_WINDOWS`` windows of its
+    ``telemetry_window``: the window is too fine for the run's length."""
 
 
 class TimeSeries:
@@ -258,6 +270,12 @@ class TelemetrySampler:
         now = self.sim.now
         if now <= self._last_sample:
             return
+        if self.series.n_samples >= MAX_TELEMETRY_WINDOWS:
+            raise TelemetryWindowError(
+                f"telemetry_window={self.series.window_ps} ps needs more than "
+                f"{MAX_TELEMETRY_WINDOWS:,} windows: the run is still going at "
+                f"{now:,} ps of simulated time; use a coarser window or 0 (off)"
+            )
         t0, self._last_sample = self._last_sample, now
         self.series.times_ps.append(now)
         for name, read in self._reads:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import SystemConfig
-from ..traces.trace import AccessMode, Param, TaskTrace, TraceTask
+from ..traces.trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["StarSsProgram", "RecordedTask", "TaskSpec"]
 
@@ -239,6 +239,7 @@ class StarSsProgram:
         cfg = config or SystemConfig()
         if not self.tasks:
             raise ValueError("no tasks recorded")
+        param = param_pool()
         trace_tasks: List[TraceTask] = []
         for task in self.tasks:
             params = []
@@ -246,7 +247,7 @@ class StarSsProgram:
             write_bytes = 0
             for obj, mode in task.accesses:
                 size = _object_bytes(obj)
-                params.append(Param(self.address_of(obj), size, mode))
+                params.append(param(self.address_of(obj), size, mode))
                 if mode.reads:
                     read_bytes += size
                 if mode.writes:

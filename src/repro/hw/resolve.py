@@ -57,7 +57,6 @@ probe/insert stages pipelined across the batch.  Gated by
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import Fifo
@@ -132,28 +131,34 @@ def check_update_block(fab, shard: int, msgs, check: "CheckPipeline"):
     table = fab.dep_shards[shard]
     port = fab.dt_ports[shard]
     pipelined = check.coalesce_limit > 1
-    rows: Dict[int, List[tuple]] = {}
-    for msg in msgs:
-        rows.setdefault(msg[2].addr, []).append(msg)
-    groups = deque(rows.values())
+    pending = list(msgs)
     commits = 0
-    while groups:
-        group = groups.popleft()
+    while pending:
         # A check may need fresh table slots (a new address entry or a
         # Kick-Off dummy, at most one per probe).  The free-slot wait must
         # precede the port grab: the finish engine that frees slots
         # arbitrates for the same port, so waiting while holding it would
         # deadlock the shard.  One slot per probe is reserved
-        # conservatively, so a group larger than the free slots commits
-        # only its first probes and queues the rest as the next group —
-        # waiting for room for the whole group could wait on a slot only
-        # a task checked behind it frees.
+        # conservatively.
         while not table.free_slots:
             fab.dt_freed_shard[shard].clear()
             yield fab.dt_freed_shard[shard].wait()
-        if len(group) > table.free_slots:
-            groups.appendleft(group[table.free_slots:])
-            group = group[:table.free_slots]
+        row = pending[0][2].addr
+        if table.free_slots >= len(pending):
+            # Room for every probe left: merge the earliest row's probes.
+            group = [m for m in pending if m[2].addr == row]
+            pending = [m for m in pending if m[2].addr != row]
+        else:
+            # Slots are scarce: commit in arrival order, merging only the
+            # leading run of same-row probes that fits.  A later probe
+            # that jumped ahead to join its row could take the last slot
+            # from an earlier probe whose task must be checked first —
+            # waiting on a slot only a task checked behind it frees.
+            run = 1
+            while (run < table.free_slots and run < len(pending)
+                   and pending[run][2].addr == row):
+                run += 1
+            group, pending = pending[:run], pending[run:]
         yield port.acquire()
         accesses_total = 0
         results = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..traces.trace import AccessMode, Param, TaskTrace, TraceTask
+from ..traces.trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["rename_trace", "count_false_dependencies"]
 
@@ -51,6 +51,7 @@ def rename_trace(
                 raise ValueError(
                     f"segment {p.addr:#x} larger than version stride"
                 )
+    param = param_pool()
     current_version: Dict[int, int] = {}
     renamed = []
     for task in trace:
@@ -63,7 +64,7 @@ def rename_trace(
             version = current_version.get(p.addr, 0)
             if p.mode == AccessMode.IN:
                 params.append(
-                    Param(_fresh_address(p.addr, version, version_stride), p.size, p.mode)
+                    param(_fresh_address(p.addr, version, version_stride), p.size, p.mode)
                 )
             else:
                 new_version = version + 1
@@ -73,14 +74,14 @@ def rename_trace(
                     # hardware tracks one address per param, so an inout
                     # splits into in(old version) + out(new version).
                     params.append(
-                        Param(
+                        param(
                             _fresh_address(p.addr, version, version_stride),
                             p.size,
                             AccessMode.IN,
                         )
                     )
                 params.append(
-                    Param(
+                    param(
                         _fresh_address(p.addr, new_version, version_stride),
                         p.size,
                         AccessMode.OUT,

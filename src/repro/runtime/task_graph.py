@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..traces.trace import TaskTrace
+from ..traces.trace import AccessMode, TaskTrace
 
 __all__ = ["TaskGraph", "build_task_graph", "DependenceKind"]
 
@@ -202,53 +202,72 @@ class TaskGraph:
         return problems
 
 
-_KIND_RANK = {DependenceKind.WAR: 0, DependenceKind.WAW: 1, DependenceKind.RAW: 2}
+#: Edge kinds by rank: a pair carrying several hazards keeps the strongest.
+_KINDS_BY_RANK = (DependenceKind.WAR, DependenceKind.WAW, DependenceKind.RAW)
+_WAR, _WAW, _RAW = range(3)
 
 
 def build_task_graph(trace: TaskTrace) -> TaskGraph:
-    """Run the golden dependence analysis over a trace in program order."""
+    """Run the golden dependence analysis over a trace in program order.
+
+    One pass over the tasks.  Each task first folds its parameters into
+    one access per distinct address (a repeated address acts with its
+    strongest combined mode — reads if any param reads, writes if any
+    writes — matching the hardware, which processes parameters
+    sequentially against the table), then ranks its prerequisites in a
+    local map before committing them, so every edge is stored once with
+    its strongest hazard (RAW > WAW > WAR).
+    """
     n = len(trace)
     successors: List[Set[int]] = [set() for _ in range(n)]
     predecessors: List[Set[int]] = [set() for _ in range(n)]
     edge_kinds: Dict[Tuple[int, int], str] = {}
 
     last_writer: Dict[int, int] = {}
-    readers_since_write: Dict[int, List[int]] = defaultdict(list)
+    # Readers of an address since its last write (the WAR candidates).
+    readers: Dict[int, List[int]] = {}
+    inout = AccessMode.INOUT
+    # Scratch maps, cleared per task rather than rebuilt: address ->
+    # folded mode, and prerequisite -> strongest hazard rank so far.
+    folded: Dict[int, AccessMode] = {}
+    rank: Dict[int, int] = {}
 
-    def add_edge(pred: int, succ: int, kind: str) -> None:
-        if pred == succ:
-            return
-        successors[pred].add(succ)
-        predecessors[succ].add(pred)
-        key = (pred, succ)
-        old = edge_kinds.get(key)
-        if old is None or _KIND_RANK[kind] > _KIND_RANK[old]:
-            edge_kinds[key] = kind
-
-    for task in trace:
+    for task in trace.tasks:
         tid = task.tid
-        # De-duplicate addresses within one task: a repeated address acts
-        # with its strongest combined mode (reads if any param reads, writes
-        # if any writes) — matches the hardware, which processes parameters
-        # sequentially against the table.
-        seen: Dict[int, Tuple[bool, bool]] = {}
+        folded.clear()
         for p in task.params:
-            r, w = seen.get(p.addr, (False, False))
-            seen[p.addr] = (r or p.mode.reads, w or p.mode.writes)
-        for addr, (reads, writes) in seen.items():
-            if reads:
-                w = last_writer.get(addr)
+            prev = folded.get(p.addr)
+            folded[p.addr] = p.mode if prev is None or prev is p.mode else inout
+
+        rank.clear()
+        for addr, mode in folded.items():
+            w = last_writer.get(addr)
+            if mode.writes:
                 if w is not None:
-                    add_edge(w, tid, DependenceKind.RAW)
-            if writes:
-                w = last_writer.get(addr)
-                if w is not None:
-                    add_edge(w, tid, DependenceKind.WAW)
-                for r in readers_since_write[addr]:
-                    add_edge(r, tid, DependenceKind.WAR)
+                    if mode.reads:
+                        rank[w] = _RAW
+                    elif rank.get(w, _WAR) == _WAR:
+                        rank[w] = _WAW
+                war = readers.pop(addr, None)
+                if war:
+                    for r in war:
+                        if r not in rank:
+                            rank[r] = _WAR
                 last_writer[addr] = tid
-                readers_since_write[addr] = []
-            if reads and not writes:
-                readers_since_write[addr].append(tid)
+            else:
+                if w is not None:
+                    rank[w] = _RAW
+                war = readers.get(addr)
+                if war is None:
+                    readers[addr] = [tid]
+                else:
+                    war.append(tid)
+
+        if rank:
+            preds = predecessors[tid]
+            for pred, k in rank.items():
+                preds.add(pred)
+                successors[pred].add(tid)
+                edge_kinds[pred, tid] = _KINDS_BY_RANK[k]
 
     return TaskGraph(trace, successors, predecessors, edge_kinds)

@@ -29,11 +29,12 @@ from .synthetic import (
     vertical_chains_trace,
 )
 from .timing import H264_TIME_MODEL, TimeModel
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, Param, TaskTrace, TraceTask, param_pool
 
 __all__ = [
     "AccessMode",
     "Param",
+    "param_pool",
     "TraceTask",
     "TaskTrace",
     "TimeModel",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["cholesky_trace", "blocked_lu_trace", "cholesky_task_count"]
 
@@ -77,12 +77,13 @@ def cholesky_trace(
     b3 = float(tile_size) ** 3
     tile_bytes = tile_size * tile_size * _FLOAT
     space = _TileSpace(tiles, tile_bytes)
+    param = param_pool()
     tasks: List[TraceTask] = []
 
     def emit(func, flops, reads, writes):
-        params = [Param(space.addr(i, j), tile_bytes, AccessMode.IN) for i, j in reads]
+        params = [param(space.addr(i, j), tile_bytes, AccessMode.IN) for i, j in reads]
         params += [
-            Param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
+            param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
         ]
         e, r, w = _times(cfg, flops, len(reads) + len(writes), len(writes), tile_bytes)
         tasks.append(TraceTask(len(tasks), func, tuple(params), e, r, w))
@@ -124,12 +125,13 @@ def blocked_lu_trace(
     b3 = float(tile_size) ** 3
     tile_bytes = tile_size * tile_size * _FLOAT
     space = _TileSpace(tiles, tile_bytes, base=0x60_000_000)
+    param = param_pool()
     tasks: List[TraceTask] = []
 
     def emit(func, flops, reads, writes):
-        params = [Param(space.addr(i, j), tile_bytes, AccessMode.IN) for i, j in reads]
+        params = [param(space.addr(i, j), tile_bytes, AccessMode.IN) for i, j in reads]
         params += [
-            Param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
+            param(space.addr(i, j), tile_bytes, AccessMode.INOUT) for i, j in writes
         ]
         e, r, w = _times(cfg, flops, len(reads) + len(writes), len(writes), tile_bytes)
         tasks.append(TraceTask(len(tasks), func, tuple(params), e, r, w))

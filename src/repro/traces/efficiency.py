@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["wait_chain_trace", "spatial_decomposition_trace"]
 
@@ -77,20 +77,24 @@ def wait_chain_trace(
     else:
         exec_times = np.full(n, spin_ps, dtype=np.int64)
 
-    def addr(r: int, c: int) -> int:
-        return _WAIT_CHAIN_BASE + (c * rows + r) * block_bytes
+    param = param_pool()
 
+    def column(c: int, mode: AccessMode) -> list:
+        """Column ``c``'s cells, one shared Param each, indexed by row."""
+        base = _WAIT_CHAIN_BASE + c * rows * block_bytes
+        return [param(base + r * block_bytes, block_bytes, mode) for r in range(rows)]
+
+    exec_times = exec_times.tolist()
     tasks: List[TraceTask] = []
     for c in range(cols):
+        outs = column(c, AccessMode.OUT)
+        # Row r reads rows r..r+k-1 of the previous column, wrapping.
+        ins = column(c - 1, AccessMode.IN) if c > 0 else []
+        ins += ins[:k - 1]
         for r in range(rows):
-            params = [
-                Param(addr((r + d) % rows, c - 1), block_bytes, AccessMode.IN)
-                for d in range(k)
-                if c > 0
-            ]
-            params.append(Param(addr(r, c), block_bytes, AccessMode.OUT))
+            params = (*ins[r:r + k], outs[r])
             tid = len(tasks)
-            tasks.append(TraceTask(tid, _WAIT, tuple(params), int(exec_times[tid])))
+            tasks.append(TraceTask(tid, _WAIT, params, exec_times[tid]))
     return TaskTrace(
         name or f"wait-chain-{rows}x{cols}-k{k}-{spin_ns}ns",
         tasks,
@@ -143,6 +147,8 @@ def spatial_decomposition_trace(
             idx = idx * grid + x
         return idx
 
+    param = param_pool()
+
     def addr(buf: int, idx: int) -> int:
         return _SPATIAL_BASE + (buf * cells + idx) * block_bytes
 
@@ -151,15 +157,15 @@ def spatial_decomposition_trace(
     for t in range(steps):
         src, dst = t % 2, (t + 1) % 2
         for coord in itertools.product(range(grid), repeat=dims):
-            params = [Param(addr(src, flat(coord)), block_bytes, AccessMode.IN)]
+            params = [param(addr(src, flat(coord)), block_bytes, AccessMode.IN)]
             for off in offsets:
                 ncoord = tuple(x + o for x, o in zip(coord, off))
                 if all(0 <= x < grid for x in ncoord):
                     params.append(
-                        Param(addr(src, flat(ncoord)), block_bytes, AccessMode.IN)
+                        param(addr(src, flat(ncoord)), block_bytes, AccessMode.IN)
                     )
             read_time = cfg.memory_time_for_bytes(len(params) * block_bytes)
-            params.append(Param(addr(dst, flat(coord)), block_bytes, AccessMode.OUT))
+            params.append(param(addr(dst, flat(coord)), block_bytes, AccessMode.OUT))
             tasks.append(
                 TraceTask(
                     len(tasks),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import SystemConfig
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = [
     "gaussian_task_count",
@@ -101,32 +101,37 @@ def gaussian_trace(
             cfg.memory_time_for_bytes(io_bytes),
         )
 
+    # Every row is named as ``in`` or ``inout`` over and over; build each
+    # shared Param once.  Index 0 is unused so rows keep their 1-based id.
+    param = param_pool()
+    row_in = [None] + [
+        param(_row_addr(j, n), row_bytes, AccessMode.IN) for j in range(1, n + 1)
+    ]
+    row_inout = [None] + [
+        param(_row_addr(j, n), row_bytes, AccessMode.INOUT) for j in range(1, n + 1)
+    ]
+
     tasks: list[TraceTask] = []
     tid = 0
     for i in range(1, n):
         # Pivot task T(i,i): find/swap/scale pivot of column i.
         weight = n + 1 - i
         exec_time, read_time, write_time = times(weight)
-        params = [Param(_row_addr(i, n), row_bytes, AccessMode.INOUT)]
-        params.extend(
-            Param(_row_addr(j, n), row_bytes, AccessMode.IN) for j in range(i + 1, n + 1)
-        )
+        params = (row_inout[i], *row_in[i + 1:])
         tasks.append(
-            TraceTask(tid, _PIVOT_FUNC, tuple(params), exec_time, read_time, write_time)
+            TraceTask(tid, _PIVOT_FUNC, params, exec_time, read_time, write_time)
         )
         tid += 1
         # Update tasks T(j,i), j = i+1..n.
         weight = n - i
         exec_time, read_time, write_time = times(weight)
+        pivot_row = row_in[i]
         for j in range(i + 1, n + 1):
             tasks.append(
                 TraceTask(
                     tid,
                     _UPDATE_FUNC,
-                    (
-                        Param(_row_addr(i, n), row_bytes, AccessMode.IN),
-                        Param(_row_addr(j, n), row_bytes, AccessMode.INOUT),
-                    ),
+                    (pivot_row, row_inout[j]),
                     exec_time,
                     read_time,
                     write_time,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .timing import H264_TIME_MODEL, TimeModel
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["h264_wavefront_trace", "wavefront_step", "FRAME_ROWS", "FRAME_COLS"]
 
@@ -59,16 +59,17 @@ def h264_wavefront_trace(
     n = rows * cols
     exec_t, read_t, write_t = model.sample(n, seed)
 
+    param = param_pool()
     tasks = []
     tid = 0
     for i in range(rows):
         for j in range(cols):
             params = []
             if j > 0:
-                params.append(Param(_mb_addr(i, j - 1, cols), _MB_BYTES, AccessMode.IN))
+                params.append(param(_mb_addr(i, j - 1, cols), _MB_BYTES, AccessMode.IN))
             if i > 0 and j < cols - 1:
-                params.append(Param(_mb_addr(i - 1, j + 1, cols), _MB_BYTES, AccessMode.IN))
-            params.append(Param(_mb_addr(i, j, cols), _MB_BYTES, AccessMode.INOUT))
+                params.append(param(_mb_addr(i - 1, j + 1, cols), _MB_BYTES, AccessMode.IN))
+            params.append(param(_mb_addr(i, j, cols), _MB_BYTES, AccessMode.INOUT))
             tasks.append(
                 TraceTask(
                     tid=tid,

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from ..config import SystemConfig
 from .timing import TimeModel
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["jacobi_stencil_trace", "reduction_tree_trace", "pipeline_trace"]
 
@@ -50,19 +50,20 @@ def jacobi_stencil_trace(
 
     read_time = cfg.memory_time_for_bytes(5 * block_bytes)
     write_time = cfg.memory_time_for_bytes(block_bytes)
+    param = param_pool()
     tasks: List[TraceTask] = []
     for t in range(iterations):
         src, dst = t % 2, (t + 1) % 2
         for i in range(grid):
             for j in range(grid):
-                params = [Param(addr(src, i, j), block_bytes, AccessMode.IN)]
+                params = [param(addr(src, i, j), block_bytes, AccessMode.IN)]
                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     ni, nj = i + di, j + dj
                     if 0 <= ni < grid and 0 <= nj < grid:
                         params.append(
-                            Param(addr(src, ni, nj), block_bytes, AccessMode.IN)
+                            param(addr(src, ni, nj), block_bytes, AccessMode.IN)
                         )
-                params.append(Param(addr(dst, i, j), block_bytes, AccessMode.OUT))
+                params.append(param(addr(dst, i, j), block_bytes, AccessMode.OUT))
                 tasks.append(
                     TraceTask(
                         len(tasks), _JACOBI, tuple(params), exec_time, read_time, write_time
@@ -92,14 +93,15 @@ def reduction_tree_trace(
 
     read_time = cfg.memory_time_for_bytes(2 * chunk_bytes)
     write_time = cfg.memory_time_for_bytes(chunk_bytes)
+    param = param_pool()
     tasks: List[TraceTask] = []
     level, width = 0, leaves
     while width > 1:
         for k in range(width // 2):
             params = (
-                Param(addr(level, 2 * k), chunk_bytes, AccessMode.IN),
-                Param(addr(level, 2 * k + 1), chunk_bytes, AccessMode.IN),
-                Param(addr(level + 1, k), chunk_bytes, AccessMode.OUT),
+                param(addr(level, 2 * k), chunk_bytes, AccessMode.IN),
+                param(addr(level, 2 * k + 1), chunk_bytes, AccessMode.IN),
+                param(addr(level + 1, k), chunk_bytes, AccessMode.OUT),
             )
             tasks.append(
                 TraceTask(len(tasks), _REDUCE, params, exec_time, read_time, write_time)
@@ -138,17 +140,18 @@ def pipeline_trace(
     def item_buffer(n: int, s: int) -> int:
         return 0x7D_000_000 + (n * stages + s) * item_bytes
 
+    param = param_pool()
     tasks: List[TraceTask] = []
     for n in range(items):
         for s in range(stages):
             params = []
             if s > 0:
-                params.append(Param(item_buffer(n, s - 1), item_bytes, AccessMode.IN))
+                params.append(param(item_buffer(n, s - 1), item_bytes, AccessMode.IN))
             # Each stage overwrites private scratch per item: a *false*
             # WAW chain across items (the renaming ablation target; an
             # inout here would be a true carried dependency instead).
-            params.append(Param(stage_buffer(s), item_bytes, AccessMode.OUT))
-            params.append(Param(item_buffer(n, s), item_bytes, AccessMode.OUT))
+            params.append(param(stage_buffer(s), item_bytes, AccessMode.OUT))
+            params.append(param(item_buffer(n, s), item_bytes, AccessMode.OUT))
             tid = len(tasks)
             tasks.append(
                 TraceTask(

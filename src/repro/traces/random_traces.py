@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = ["random_trace"]
 
 _ADDR_BASE = 0x2000000
 _SEG_BYTES = 256
 
+#: Access modes indexed by their integer value (the RNG draws 0..2).
+_MODES = (AccessMode.IN, AccessMode.OUT, AccessMode.INOUT)
+
 #: Tasks per vectorized generation chunk.  Traces up to this size use the
-#: original per-task RNG path (bit-identical streams — the pinned golden
-#: digests replay traces of <= 3000 tasks); larger traces switch to the
-#: chunked vectorized path whose working memory is bounded by
-#: ``chunk x n_addresses`` regardless of the trace length.
+#: original per-task RNG path, whose stream is pinned: the golden schedule
+#: digests replay random traces of up to 3000 tasks, and the benchmark's
+#: 8000-task hazard-stack workload is this stream too.  Larger traces use
+#: the chunked vectorized path, whose working memory is ``chunk x
+#: max_params`` whatever the trace length or address pool.
 _CHUNK_TASKS = 8192
 
 
@@ -40,11 +44,12 @@ def random_trace(
     A small pool forces dense RAW/WAR/WAW interactions; ``max_params`` above
     the hardware TD limit exercises dummy tasks.  Deterministic per seed.
 
-    Traces larger than ~8k tasks are built by the streaming chunked
-    generator (vectorized draws, bounded working memory), which produces a
-    different — equally deterministic — stream for the same seed; the
-    small-trace path is byte-identical to the original generator so pinned
-    golden schedules stay valid.
+    Traces of up to 8192 tasks keep the original generator's RNG stream
+    byte for byte, so pinned golden schedules and the 8000-task
+    hazard-stack benchmark workload stay valid.  Larger traces are built
+    by the streaming chunked generator (vectorized draws, an O(k)-per-task
+    sampler without replacement), which gives a different — equally
+    deterministic — stream for the same seed.
     """
     if n_tasks < 1:
         raise ValueError("need at least one task")
@@ -53,14 +58,15 @@ def random_trace(
     if max_params < 1:
         raise ValueError("need at least one parameter")
     rng = np.random.default_rng(seed)
+    param = param_pool()
     if n_tasks <= _CHUNK_TASKS:
-        tasks = _legacy_tasks(rng, n_tasks, n_addresses, max_params,
+        tasks = _legacy_tasks(rng, param, n_tasks, n_addresses, max_params,
                               mean_exec, mean_memory)
     else:
         tasks = []
         for start in range(0, n_tasks, _CHUNK_TASKS):
             m = min(_CHUNK_TASKS, n_tasks - start)
-            _chunk_tasks(tasks, rng, start, m, n_addresses, max_params,
+            _chunk_tasks(tasks, rng, param, start, m, n_addresses, max_params,
                          mean_exec, mean_memory)
     return TaskTrace(
         name,
@@ -69,46 +75,62 @@ def random_trace(
     )
 
 
-def _legacy_tasks(rng, n_tasks, n_addresses, max_params, mean_exec,
+def _legacy_tasks(rng, param, n_tasks, n_addresses, max_params, mean_exec,
                   mean_memory) -> list[TraceTask]:
     """The original per-task generator (RNG stream pinned by goldens)."""
+    integers, choice = rng.integers, rng.choice
     tasks = []
     for tid in range(n_tasks):
-        k = int(rng.integers(1, max_params + 1))
+        k = int(integers(1, max_params + 1))
         k = min(k, n_addresses)
-        addr_ids = rng.choice(n_addresses, size=k, replace=False)
-        params = []
-        for a in addr_ids:
-            mode = AccessMode(int(rng.integers(0, 3)))
-            params.append(Param(_ADDR_BASE + int(a) * _SEG_BYTES, _SEG_BYTES, mode))
-        exec_time = int(rng.integers(1, 2 * mean_exec + 1))
-        read_time = int(rng.integers(0, 2 * mean_memory + 1))
-        write_time = int(rng.integers(0, 2 * mean_memory + 1))
+        addr_ids = choice(n_addresses, size=k, replace=False).tolist()
+        params = tuple(
+            param(_ADDR_BASE + a * _SEG_BYTES, _SEG_BYTES, _MODES[integers(0, 3)])
+            for a in addr_ids
+        )
+        exec_time = int(integers(1, 2 * mean_exec + 1))
+        read_time = int(integers(0, 2 * mean_memory + 1))
+        write_time = int(integers(0, 2 * mean_memory + 1))
         tasks.append(
-            TraceTask(tid, 0xF00D, tuple(params), exec_time, read_time, write_time)
+            TraceTask(tid, 0xF00D, params, exec_time, read_time, write_time)
         )
     return tasks
 
 
-def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
-                 mean_memory) -> None:
+def sample_without_replacement(rng, ks: np.ndarray, n: int) -> np.ndarray:
+    """Row ``i`` holds ``ks[i]`` distinct ids, uniform over ``range(n)``.
+
+    Floyd's algorithm, vectorized across rows: step ``s`` draws one id per
+    row from ``[0, n - k + s]`` and keeps it, or takes the range's top if
+    the row already holds it.  Each row's first ``ks[i]`` columns are a
+    uniform ``ks[i]``-subset; columns past ``ks[i]`` are scratch.  A chunk
+    costs ``max(ks)`` draws per row and working memory ``len(ks) x
+    max(ks)`` — independent of ``n``.  Requires ``1 <= ks <= n``.
+    """
+    m = len(ks)
+    max_k = int(ks.max())
+    ids = np.empty((m, max_k), dtype=np.int64)
+    top = n - ks
+    for s in range(max_k):
+        drawn = rng.integers(0, top + 1)
+        held = (ids[:, :s] == drawn[:, None]).any(axis=1)
+        ids[:, s] = np.where(held, top, drawn)
+        top += 1
+    return ids
+
+
+def _chunk_tasks(tasks, rng, param, start, m, n_addresses, max_params,
+                 mean_exec, mean_memory) -> None:
     """Append ``m`` tasks built from whole-chunk vectorized draws.
 
-    All randomness for the chunk is drawn in five array operations; the
-    remaining Python loop only assembles the (immutable) descriptor
-    objects.  Sampling without replacement is the argsort-of-random-keys
-    trick: each row's address ids are the indices of its ``k`` smallest
-    keys, uniform over all k-subsets.
+    All randomness for the chunk is drawn in a handful of array
+    operations; the remaining Python loop only assembles the (immutable,
+    shared) descriptor objects.
     """
-    max_k = min(max_params, n_addresses)
     ks = rng.integers(1, max_params + 1, size=m)
     np.minimum(ks, n_addresses, out=ks)
-    # (m, n_addresses) random keys; argpartition pulls each row's k
-    # smallest in O(n_addresses) — this matrix bounds the generator's
-    # working memory, independent of the total trace length.
-    keys = rng.random((m, n_addresses))
-    addr_rows = np.argpartition(keys, max_k - 1, axis=1)[:, :max_k]
-    modes = rng.integers(0, 3, size=(m, max_k))
+    addr_rows = sample_without_replacement(rng, ks, n_addresses)
+    modes = rng.integers(0, 3, size=addr_rows.shape)
     exec_times = rng.integers(1, 2 * mean_exec + 1, size=m)
     read_times = rng.integers(0, 2 * mean_memory + 1, size=m)
     write_times = rng.integers(0, 2 * mean_memory + 1, size=m)
@@ -120,14 +142,11 @@ def _chunk_tasks(tasks, rng, start, m, n_addresses, max_params, mean_exec,
     read_times = read_times.tolist()
     write_times = write_times.tolist()
     append = tasks.append
-    in_, out, inout = AccessMode.IN, AccessMode.OUT, AccessMode.INOUT
-    mode_of = (in_, out, inout)
     for i in range(m):
-        k = ks[i]
         addrs = addr_rows[i]
         mrow = modes[i]
         params = tuple(
-            Param(addrs[j], _SEG_BYTES, mode_of[mrow[j]]) for j in range(k)
+            param(addrs[j], _SEG_BYTES, _MODES[mrow[j]]) for j in range(ks[i])
         )
         append(
             TraceTask(start + i, 0xF00D, params, exec_times[i],

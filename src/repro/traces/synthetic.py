@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .timing import H264_TIME_MODEL, TimeModel
-from .trace import AccessMode, Param, TaskTrace, TraceTask
+from .trace import AccessMode, TaskTrace, TraceTask, param_pool
 
 __all__ = [
     "independent_trace",
@@ -67,11 +67,12 @@ def independent_trace(
         raise ValueError("need at least one parameter per task")
     model = time_model or H264_TIME_MODEL
     exec_t, read_t, write_t = model.sample(n_tasks, seed)
+    param = param_pool()
     tasks = []
     for tid in range(n_tasks):
         base = 0x8000000 + tid * n_params * _BLOCK_BYTES
         params = tuple(
-            Param(
+            param(
                 base + k * _BLOCK_BYTES,
                 _BLOCK_BYTES,
                 AccessMode.INOUT if k == 0 else AccessMode.IN,
@@ -108,16 +109,17 @@ def _grid_trace(
     model = time_model or H264_TIME_MODEL
     n = rows * cols
     exec_t, read_t, write_t = model.sample(n, seed)
+    param = param_pool()
     tasks = []
     tid = 0
     for i in range(rows):
         for j in range(cols):
             params = []
             if pattern == "horizontal" and j > 0:
-                params.append(Param(_addr(i, j - 1, cols), _BLOCK_BYTES, AccessMode.IN))
+                params.append(param(_addr(i, j - 1, cols), _BLOCK_BYTES, AccessMode.IN))
             elif pattern == "vertical" and i > 0:
-                params.append(Param(_addr(i - 1, j, cols), _BLOCK_BYTES, AccessMode.IN))
-            params.append(Param(_addr(i, j, cols), _BLOCK_BYTES, AccessMode.INOUT))
+                params.append(param(_addr(i - 1, j, cols), _BLOCK_BYTES, AccessMode.IN))
+            params.append(param(_addr(i, j, cols), _BLOCK_BYTES, AccessMode.INOUT))
             tasks.append(
                 TraceTask(
                     tid=tid,

@@ -28,7 +28,12 @@ from repro.analysis import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.analysis.telemetry import METRICS_SCHEMA_VERSION, TimeSeries
+from repro.analysis.telemetry import (
+    MAX_TELEMETRY_WINDOWS,
+    METRICS_SCHEMA_VERSION,
+    TelemetryWindowError,
+    TimeSeries,
+)
 from repro.config import BUS_MODEL_FITTED, SystemConfig
 from repro.machine import run_trace
 from repro.traces import wait_chain_trace
@@ -87,6 +92,23 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"\(4000 ps\), got 2000"):
             _mini_config(telemetry_window=2_000, **slow)
         assert _mini_config(telemetry_window=4_000, **slow).telemetry_window == 4_000
+
+    def test_window_count_is_capped(self):
+        # One task spinning 120 us under a one-cycle (2 ns) window needs
+        # 60,000 windows; the run stops at the cap with a named error
+        # instead of growing the series until memory runs out.
+        trace = wait_chain_trace(1, 1, spin_ns=120_000)
+        cycle = SystemConfig().nexus_cycle
+        with pytest.raises(TelemetryWindowError) as err:
+            run_trace(trace, _mini_config(telemetry_window=cycle))
+        message = str(err.value)
+        assert f"telemetry_window={cycle} ps" in message
+        assert f"{MAX_TELEMETRY_WINDOWS:,} windows" in message
+        # It fires at the first boundary past the cap.
+        assert f"{(MAX_TELEMETRY_WINDOWS + 1) * cycle:,} ps of simulated time" in message
+        # A window ten times coarser fits the same run under the cap.
+        result = run_trace(trace, _mini_config(telemetry_window=10 * cycle))
+        assert len(result.telemetry["times_ps"]) <= MAX_TELEMETRY_WINDOWS
 
     def test_series_shape(self, run, telemetry):
         assert telemetry["window_ps"] == WINDOW_PS

@@ -277,6 +277,34 @@ def test_coalesced_check_group_never_waits_for_the_whole_group():
     assert result.stats["dep_table"]["occupied"] == 0
 
 
+def test_scarce_slots_are_taken_in_probe_arrival_order():
+    """Regression: grouping a coalesced batch by row let a later probe
+    join its row's group and take the last free slot of a tight shard
+    slice ahead of an earlier probe of another row.  This run ended in a
+    32-process deadlock (``s1.check`` waiting on ``s1-dt-freed``) at
+    batch limit 8 and retired at limit 1.  With slots scarce, a batch now
+    commits in arrival order."""
+    trace = random_trace(
+        33, n_addresses=4, max_params=2, seed=906, mean_exec=2000, mean_memory=0
+    )
+    graph = build_task_graph(trace)
+    base = dict(
+        workers=1,
+        maestro_shards=3,
+        dependence_table_entries=8,
+        kickoff_list_size=2,
+        master_cores=2,
+        retire_pipeline_depth=4,
+        decentralized_check_scatter=True,
+        kickoff_fast_path=True,
+    )
+    for limit in (1, 8):
+        result = run_trace(trace, SystemConfig(check_coalesce_limit=limit, **base))
+        assert all(r.is_complete() for r in result.records), limit
+        assert result.verify_against(graph) == [], limit
+        assert result.stats["dep_table"]["occupied"] == 0, limit
+
+
 def test_decentral_check_preset_runs_the_bench_machine():
     cfg = decentral_check()
     assert cfg.decentralized_check_scatter

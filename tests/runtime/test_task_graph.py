@@ -1,6 +1,8 @@
 """Tests for the golden-model dependence analysis (Listing 2 semantics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.task_graph import DependenceKind, build_task_graph
 from repro.traces import AccessMode, Param, TaskTrace, TraceTask
@@ -79,6 +81,14 @@ class TestHazards:
         g = build_task_graph(trace_of([(A, "out")], [(A, "inout")], [(A, "inout")]))
         assert g.is_edge(0, 1) and g.is_edge(1, 2)
         assert not g.is_edge(0, 2)  # only the adjacent writer
+
+    def test_mixed_hazards_on_one_pair_keep_the_strongest(self):
+        # Task 1 read A and wrote B; task 2 writes A (WAR on 1) and reads
+        # B (RAW on 1), in either parameter order: one RAW edge.
+        for plist in ([(A, "out"), (B, "in")], [(B, "in"), (A, "out")]):
+            g = build_task_graph(trace_of([(A, "out")], [(A, "in"), (B, "out")], plist))
+            assert g.edge_kinds[(1, 2)] == DependenceKind.RAW
+            assert g.predecessors[2] == {0, 1}
 
 
 class TestGraphQueries:
@@ -162,3 +172,62 @@ class TestScheduleChecker:
     def test_wrong_length_detected(self):
         g = build_task_graph(trace_of([(A, "out")], [(A, "in")]))
         assert g.check_schedule([0], [10]) != []
+
+
+_RANK = {DependenceKind.WAR: 0, DependenceKind.WAW: 1, DependenceKind.RAW: 2}
+
+
+def reference_graph(trace):
+    """The analysis stated edge by edge: fold repeated addresses, then add
+    RAW/WAW from the last writer and WAR from the readers since it,
+    keeping each pair's strongest kind."""
+    succ = [set() for _ in trace]
+    pred = [set() for _ in trace]
+    kinds = {}
+    last_writer, readers = {}, {}
+
+    def add(p, s, kind):
+        succ[p].add(s)
+        pred[s].add(p)
+        if (p, s) not in kinds or _RANK[kind] > _RANK[kinds[p, s]]:
+            kinds[p, s] = kind
+
+    for task in trace:
+        folded = {}
+        for p in task.params:
+            r, w = folded.get(p.addr, (False, False))
+            folded[p.addr] = (r or p.mode.reads, w or p.mode.writes)
+        for addr, (reads, writes) in folded.items():
+            w = last_writer.get(addr)
+            if reads and w is not None:
+                add(w, task.tid, DependenceKind.RAW)
+            if writes:
+                if w is not None:
+                    add(w, task.tid, DependenceKind.WAW)
+                for r in readers.get(addr, []):
+                    add(r, task.tid, DependenceKind.WAR)
+                last_writer[addr] = task.tid
+                readers[addr] = []
+            else:
+                readers.setdefault(addr, []).append(task.tid)
+    return succ, pred, kinds
+
+
+_params = st.lists(
+    st.tuples(st.sampled_from([A, B, C]), st.sampled_from(["in", "out", "inout"])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_params, min_size=1, max_size=12))
+def test_one_pass_analysis_matches_the_edge_by_edge_reference(param_lists):
+    """Any trace over three addresses, repeated addresses within a task
+    included, gets exactly the reference's edges and kinds."""
+    trace = trace_of(*param_lists)
+    g = build_task_graph(trace)
+    succ, pred, kinds = reference_graph(trace)
+    assert g.successors == succ
+    assert g.predecessors == pred
+    assert g.edge_kinds == kinds
